@@ -33,6 +33,7 @@ __all__ = [
     "quadrature_operator",
     "quadrature_eigenstate",
     "quadrature_projector",
+    "quadrature_projectors",
     "hermite_oscillator_functions",
     "husimi_q",
     "overlap",
@@ -164,13 +165,23 @@ def quadrature_projector(spec: QuadratureSpec, n_max: int) -> np.ndarray:
     |<chi|psi>|^2 is a probability *density* in chi: summing the densities
     of any normalised state over a chi grid integrates to one.
     """
-    psi = hermite_oscillator_functions(math.sqrt(2.0) * spec.chi, n_max)
-    if float(np.max(np.abs(psi))) == 0.0:
+    return quadrature_projectors(spec.theta, [spec.chi], n_max)[0]
+
+
+def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
+    """quadrature_projector for every chi of a sweep at one angle.
+
+    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>; the
+    oscillator functions of all outcomes come from one recurrence.
+    """
+    u = math.sqrt(2.0) * np.asarray(chis, dtype=float)
+    psi = hermite_oscillator_functions(u, n_max).T
+    if np.any(np.max(np.abs(psi), axis=1) == 0.0):
         raise NumericRangeError(
             "quadrature eigenvalue too large for the truncated basis "
             "(oscillator functions underflow)"
         )
-    phases = np.exp(1j * spec.theta * np.arange(n_max))
+    phases = np.exp(1j * (float(theta) % TWO_PI) * np.arange(n_max))
     return (2.0 ** 0.25) * psi * phases
 
 
@@ -193,8 +204,12 @@ def _coherent_matrix(betas: np.ndarray, n_max: int) -> np.ndarray:
     out = np.empty((n_max, betas.size), dtype=complex)
     out[0] = np.exp(-0.5 * np.abs(betas) ** 2)
     if n_max > 1:
-        steps = betas[None, :] / np.sqrt(np.arange(1.0, n_max))[:, None]
-        out[1:] = out[0][None, :] * np.cumprod(steps, axis=0)
+        # built in place: the rows below the first hold the steps
+        # beta / sqrt(m), then their running products, then c_m
+        steps = out[1:]
+        np.divide(betas[None, :], np.sqrt(np.arange(1.0, n_max))[:, None], out=steps)
+        np.cumprod(steps, axis=0, out=steps)
+        np.multiply(out[0][None, :], steps, out=steps)
     return out
 
 
@@ -211,7 +226,7 @@ def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
     n_max = rho.shape[0]
     betas = (x_axis[:, None] + 1j * y_axis[None, :]).ravel()
     cmat = _coherent_matrix(betas, n_max)
-    vals = np.einsum("mg,mg->g", cmat.conj(), rho @ cmat).real / math.pi
+    vals = np.vecdot(cmat, rho @ cmat, axis=0).real / math.pi
     vals = np.maximum(vals, 0.0).reshape(x_axis.size, y_axis.size)
     return QGrid(x_axis=x_axis, y_axis=y_axis, values=vals)
 

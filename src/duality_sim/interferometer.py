@@ -8,10 +8,14 @@ complex array indexed (grid point, level in {b, c}, Fock index).
 
 Readouts reduce the field:
 
-* trace_out_field keeps the atomic density operator, stored in factored
-  form rho = L L^dag (one factor column per Fock index), which propagation
-  and screen extraction consume directly; the dense matrix is materialised
-  only on demand.
+* trace_out_field keeps the atomic density operator in factored form
+  rho = L L^dag.  The Fock slices of the joint state are one such
+  factorisation; their Gram matrix (the field density operator, up to
+  transposition) is diagonalised once, and L keeps only the Schmidt
+  directions whose weight stands above rounding, so L has the true rank
+  of the atom-field entanglement (1 without the field, 2-3 for the slit
+  kick).  Propagation and screen extraction consume L directly; the dense
+  matrix is never formed.
 * condition_on_quadrature projects the field on a homodyne outcome and
   returns the (pure, rank-1) conditional atom state plus the outcome's
   probability density.
@@ -25,9 +29,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import evolution
-from .errors import ConfigError, ImpossibleOutcomeError, TruncationError
+from .errors import ConfigError, ImpossibleOutcomeError, NumericError, TruncationError
 from .evolution import InteractionParams
-from .fock import FieldState, QuadratureSpec, coherent_state, quadrature_projector
+from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors
 
 LEVEL_INDEX = {"b": 0, "c": 1}
 SLIT_KICK = "slit"
@@ -103,7 +107,7 @@ class PreparationParams:
 
     def __post_init__(self):
         total = abs(self.c_up) ** 2 + abs(self.c_down) ** 2
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ConfigError(f"|c_up|^2 + |c_down|^2 must be 1, got {total!r}")
 
 
@@ -137,11 +141,13 @@ class AtomDensity:
     factors has shape (grid points, 2 levels, rank); the grid measure dx is
     not folded into the factors, so trace(rho) = sum |factors|^2 * dx.
     Constructors normalise to unit trace.  rho is Hermitian and positive
-    semidefinite by construction.
+    semidefinite by construction.  discarded_weight is the share of the
+    trace that a rank cut dropped before that normalisation.
     """
 
     grid: GridSpec
     factors: np.ndarray
+    discarded_weight: float = 0.0
 
     @property
     def rank(self) -> int:
@@ -174,14 +180,25 @@ def _slit_profile(grid: GridSpec, centre: float, sigma: float) -> np.ndarray:
 
 
 def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
-                  grid: GridSpec, n_max: int) -> JointState:
-    """Two slit packets, correlated internal states, and a coherent field."""
+                  grid: GridSpec, n_max: int, tail_tol: float = 1e-9) -> JointState:
+    """Two slit packets, correlated internal states, and a coherent field.
+
+    The coherent state's weight beyond the Fock truncation is lost from the
+    start; above tail_tol that raises TruncationError.
+    """
     margin = 6.0 * geom.sigma
     if grid.x_min > geom.x_top - margin or grid.x_max < geom.x_bottom + margin:
         raise ConfigError("grid does not cover both slits with a 6 sigma margin")
+    field = coherent_state(alpha, n_max)
+    missing = 1.0 - field.norm_sq()
+    if not missing <= tail_tol:  # NaN when the amplitudes overflowed
+        raise TruncationError(
+            f"the coherent state leaves {missing:.3e} weight beyond {n_max} Fock states "
+            f"(tolerance {tail_tol:.1e}); increase n_max"
+        )
     g_top = _slit_profile(grid, geom.x_top, geom.sigma)
     g_bot = _slit_profile(grid, geom.x_bottom, geom.sigma)
-    c_m = coherent_state(alpha, n_max).amps
+    c_m = field.amps
     phi = float(prep.phi)
     ground = prep.c_up * math.cos(phi) * g_top + prep.c_down * g_bot
     mixed = prep.c_up * math.sin(phi) * g_top
@@ -195,19 +212,23 @@ def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
     return JointState(grid=grid, geometry=geom, amps=amps)
 
 
-def _kick_positions(state: JointState, kick: str) -> np.ndarray:
-    """Positions at which the interaction multipliers are evaluated.
+def _kick_positions(state: JointState, kick: str):
+    """Distinct positions at which the interaction multipliers are evaluated.
 
-    "slit" assigns every grid point the centre of its nearest slit, which
-    reproduces per-path evolution (each packet sees one antinode or node);
-    "local" evaluates the standing-wave couplings at every grid point, so
-    the kick varies across the packet width.
+    Returns (positions, index): grid point i takes the multipliers of
+    positions[index[i]], or of positions[i] when index is None.  "slit"
+    assigns every grid point the centre of its nearest slit, which
+    reproduces per-path evolution (each packet sees one antinode or node),
+    so only the two slit centres are evaluated; "local" evaluates the
+    standing-wave couplings at every grid point, so the kick varies across
+    the packet width.
     """
     if kick == LOCAL_KICK:
-        return state.grid.x
+        return state.grid.x, None
     if kick == SLIT_KICK:
         geom = state.geometry
-        return np.where(state.grid.x < geom.midpoint, geom.x_top, geom.x_bottom)
+        positions = np.array([geom.x_top, geom.x_bottom])
+        return positions, np.where(state.grid.x < geom.midpoint, 0, 1)
     raise ConfigError(f"unknown kick policy {kick!r}")
 
 
@@ -219,32 +240,45 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     photon-raising branch that falls off the truncation is accumulated
     into the truncation-loss diagnostic and trips TruncationError above
     tail_tol.  In exact mode the weight leaked to the excited level is
-    reported in diagnostics rather than tracked as a state.
+    reported in diagnostics rather than tracked as a state.  One level's
+    multipliers are released before the other level's are evaluated.
     """
     n_max = state.n_max
     dx = state.grid.dx
-    xs = _kick_positions(state, kick)
+    xs, index = _kick_positions(state, kick)
+
+    def multipliers(level):
+        stay, cross, leak = evolution.branch_multipliers(level, xs, params, n_max, mode)
+        if index is None:
+            return stay, cross, leak
+        return stay[index], cross[index], leak[index]
+
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
     in_c = state.amps[:, LEVEL_INDEX["c"], :]
-    stay_b, cross_b, leak_b = evolution.branch_multipliers("b", xs, params, n_max, mode)
-    stay_c, cross_c, leak_c = evolution.branch_multipliers("c", xs, params, n_max, mode)
-
     out = np.zeros_like(state.amps)
     out_b = out[:, LEVEL_INDEX["b"], :]
     out_c = out[:, LEVEL_INDEX["c"], :]
-    out_b += stay_b * in_b
-    out_c += stay_c * in_c
-    # |b>|m> -> |c>|m+1>, |c>|m> -> |b>|m-1>
-    out_c[:, 1:] += cross_b[:, :-1] * in_b[:, :-1]
-    out_b[:, :-1] += cross_c[:, 1:] * in_c[:, 1:]
 
-    truncation_loss = float(np.sum(np.abs(cross_b[:, -1] * in_b[:, -1]) ** 2)) * dx
+    # |b>|m> -> |c>|m+1>; the top row falls off the truncation
+    stay, cross, leak = multipliers("b")
+    np.multiply(stay, in_b, out=out_b)
+    np.multiply(cross[:, :-1], in_b[:, :-1], out=out_c[:, 1:])
+    truncation_loss = float(np.sum(np.abs(cross[:, -1] * in_b[:, -1]) ** 2)) * dx
     if truncation_loss > tail_tol:
         raise TruncationError(
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    leak = float(np.sum(leak_b * np.abs(in_b) ** 2) + np.sum(leak_c * np.abs(in_c) ** 2)) * dx
+    leak_b = np.sum(leak * np.abs(in_b) ** 2)
+    del stay, cross, leak
+
+    # |c>|m> -> |b>|m-1>
+    stay, cross, leak = multipliers("c")
+    stay *= in_c
+    out_c += stay
+    cross[:, 1:] *= in_c[:, 1:]
+    out_b[:, :-1] += cross[:, 1:]
+    leak = float(leak_b + np.sum(leak * np.abs(in_c) ** 2)) * dx
     return JointState(
         grid=state.grid,
         geometry=state.geometry,
@@ -253,16 +287,51 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     )
 
 
-def trace_out_field(state: JointState) -> AtomDensity:
-    """Partial trace over the field, renormalised to unit trace.
+def _field_gram(state: JointState):
+    """Fock slices of the state as columns, and their Gram matrix.
 
-    The Fock slices of the joint state are exactly the factor columns of
-    the reduced density operator, so no dense matrix is ever formed.
+    Returns (flat, gram) with flat of shape (grid * level, n_max) and
+    gram[m, n] = dx * sum_g conj(flat[g, m]) flat[g, n], the transpose of
+    the unnormalised field density operator.
     """
-    norm = state.norm_sq()
-    if norm <= 0.0:
+    flat = np.ascontiguousarray(state.amps.reshape(-1, state.n_max))
+    # one real symmetric product (BLAS syrk, half the work of a complex
+    # gemm) over the interleaved (re, im) columns, then recombined
+    parts = flat.view(float)
+    real = parts.T @ parts
+    gram = real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
+    return flat, gram * state.grid.dx
+
+
+def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
+    """Partial trace over the field at its true rank, renormalised to unit trace.
+
+    The Fock slices of the joint state are factor columns of the reduced
+    density operator.  The eigenvectors v_k of their Gram matrix give the
+    Schmidt directions, with weights lambda_k; L = slices @ v_k for the
+    lambda_k above rounding (n_max * eps * lambda_max) spans the same
+    operator.  The weight of the dropped directions is reported as
+    discarded_weight and raises NumericError above tail_tol.
+    """
+    flat, gram = _field_gram(state)
+    weights, vecs = np.linalg.eigh(gram)
+    weights = np.clip(weights, 0.0, None)
+    total = float(np.sum(weights))
+    if total <= 0.0:
         raise ValueError("cannot trace a zero-norm state")
-    return AtomDensity(grid=state.grid, factors=state.amps / math.sqrt(norm))
+    keep = weights > state.n_max * np.finfo(float).eps * weights[-1]
+    kept = float(np.sum(weights[keep]))
+    discarded = float(np.sum(weights[~keep])) / total
+    if discarded > tail_tol:
+        raise NumericError(
+            f"the rank cut discarded {discarded:.3e} of the atomic trace "
+            f"(tolerance {tail_tol:.1e})"
+        )
+    # (V^T flat^T)^T rather than flat @ V: the short-and-wide product keeps
+    # no large BLAS work buffers alive
+    columns = (vecs[:, keep] / math.sqrt(kept)).T @ flat.T
+    factors = columns.T.reshape(state.grid.n_points, 2, -1)
+    return AtomDensity(grid=state.grid, factors=factors, discarded_weight=discarded)
 
 
 def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
@@ -285,11 +354,8 @@ def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
 
 def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
     """Outcome densities for a sweep of quadrature eigenvalues."""
-    chi_samples = np.asarray(chi_samples, dtype=float)
     n_max = state.n_max
-    coeffs = np.empty((chi_samples.size, n_max), dtype=complex)
-    for i, chi in enumerate(chi_samples):
-        coeffs[i] = quadrature_projector(QuadratureSpec(theta=theta, chi=chi), n_max)
+    coeffs = quadrature_projectors(theta, chi_samples, n_max)
     flat = state.amps.reshape(-1, n_max)
     cond = flat @ coeffs.conj().T  # (grid*level, chi)
     return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
@@ -297,8 +363,7 @@ def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
 
 def field_density(state: JointState) -> np.ndarray:
     """Field density operator after tracing the atom, unit trace."""
-    flat = state.amps.reshape(-1, state.n_max)
-    rho = (flat.T @ flat.conj()) * state.grid.dx  # rho[m, n] = sum_g amps_m conj(amps_n)
+    rho = _field_gram(state)[1].T  # rho[m, n] = dx sum_g amps_m conj(amps_n)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
         raise ValueError("cannot trace a zero-norm state")

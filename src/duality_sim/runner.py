@@ -45,13 +45,47 @@ __all__ = [
 
 
 def _as_complex(value, label: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, bool):
+        raise ConfigError(f"{label} must be a number or a [re, im] pair")
+    if isinstance(value, (int, float, complex)):
         return complex(value)
-    if isinstance(value, complex):
-        return value
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], label), _as_float(value[1], label))
     raise ConfigError(f"{label} must be a number or a [re, im] pair")
+
+
+def _as_float(value, label: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{label} must be a number")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
+
+
+def _as_int(value, label: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{label} must be an integer, got {value!r}")
+
+
+def _as_bool(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{label} must be true or false, got {value!r}")
+    return value
+
+
+def _require(ok: bool, message: str) -> None:
+    """Raise ConfigError unless ok; NaN comparisons are False, so NaN fails."""
+    if not ok:
+        raise ConfigError(message)
+
+
+def _finite(z: complex) -> bool:
+    z = complex(z)
+    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def _num_json(z: complex):
@@ -60,6 +94,8 @@ def _num_json(z: complex):
 
 
 def _check_keys(mapping: dict, allowed, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -73,6 +109,10 @@ class CaseSpec:
     c_up: complex = 1.0 / math.sqrt(2.0)
     c_down: complex = 1.0 / math.sqrt(2.0)
     phi: float = 0.0
+
+    def __post_init__(self):
+        _require(_finite(self.c_up) and _finite(self.c_down) and math.isfinite(self.phi),
+                 "case parameters must be finite")
 
     @staticmethod
     def from_value(value) -> "CaseSpec":
@@ -89,7 +129,7 @@ class CaseSpec:
                     name=None,
                     c_up=_as_complex(value["c_up"], "c_up"),
                     c_down=_as_complex(value["c_down"], "c_down"),
-                    phi=float(value["phi"]),
+                    phi=_as_float(value["phi"], "phi"),
                 )
             except KeyError as missing:
                 raise ConfigError(f"explicit case needs c_up, c_down and phi ({missing} missing)")
@@ -115,6 +155,8 @@ class ReadoutSpec:
     def __post_init__(self):
         if self.kind not in ("trace", "quadrature"):
             raise ConfigError("readout kind must be 'trace' or 'quadrature'")
+        _require(math.isfinite(self.theta), "readout theta must be finite")
+        _require(self.chi is None or math.isfinite(self.chi), "readout chi must be finite")
 
     @staticmethod
     def from_value(value) -> "ReadoutSpec":
@@ -128,8 +170,10 @@ class ReadoutSpec:
             if chi == "most-probable":
                 chi_val = None
             else:
-                chi_val = float(chi)
-            return ReadoutSpec(kind="quadrature", theta=float(value.get("theta", 0.0)), chi=chi_val)
+                chi_val = _as_float(chi, "readout chi")
+            return ReadoutSpec(kind="quadrature",
+                               theta=_as_float(value.get("theta", 0.0), "readout theta"),
+                               chi=chi_val)
         raise ConfigError("readout must be 'trace' or a quadrature object")
 
     def to_json(self):
@@ -147,6 +191,12 @@ class NumericSpec:
     boundary_tolerance: float = 1e-6
     detuning_ratio: float = 200.0
 
+    def __post_init__(self):
+        _require(self.n_max >= 1, "numeric.n_max must be at least 1")
+        for name in ("tail_tolerance", "boundary_tolerance", "detuning_ratio"):
+            value = getattr(self, name)
+            _require(0.0 < value < math.inf, f"numeric.{name} must be positive and finite")
+
     @staticmethod
     def from_value(value: dict) -> "NumericSpec":
         _check_keys(value, {"n_max", "grid", "tail_tolerance", "boundary_tolerance",
@@ -155,16 +205,18 @@ class NumericSpec:
         _check_keys(grid_value, {"x_min", "x_max", "n_points"}, "numeric.grid")
         default_grid = GridSpec()
         grid = GridSpec(
-            x_min=float(grid_value.get("x_min", default_grid.x_min)),
-            x_max=float(grid_value.get("x_max", default_grid.x_max)),
-            n_points=int(grid_value.get("n_points", default_grid.n_points)),
+            x_min=_as_float(grid_value.get("x_min", default_grid.x_min), "numeric.grid.x_min"),
+            x_max=_as_float(grid_value.get("x_max", default_grid.x_max), "numeric.grid.x_max"),
+            n_points=_as_int(grid_value.get("n_points", default_grid.n_points),
+                             "numeric.grid.n_points"),
         )
         return NumericSpec(
-            n_max=int(value.get("n_max", 96)),
+            n_max=_as_int(value.get("n_max", 96), "numeric.n_max"),
             grid=grid,
-            tail_tolerance=float(value.get("tail_tolerance", 1e-9)),
-            boundary_tolerance=float(value.get("boundary_tolerance", 1e-6)),
-            detuning_ratio=float(value.get("detuning_ratio", 200.0)),
+            tail_tolerance=_as_float(value.get("tail_tolerance", 1e-9), "numeric.tail_tolerance"),
+            boundary_tolerance=_as_float(value.get("boundary_tolerance", 1e-6),
+                                         "numeric.boundary_tolerance"),
+            detuning_ratio=_as_float(value.get("detuning_ratio", 200.0), "numeric.detuning_ratio"),
         )
 
     def to_json(self):
@@ -206,6 +258,10 @@ class ExperimentConfig:
             raise ConfigError("kick must be 'slit' or 'local'")
         if self.stage == 2 and complex(self.epsilon) != 0.0:
             raise ConfigError("stage 2 has no classical drive; epsilon must be 0")
+        _require(_finite(self.alpha), "alpha must be finite")
+        _require(_finite(self.epsilon), "epsilon must be finite")
+        _require(0.0 < self.theta_int < math.inf, "theta_int must be positive and finite")
+        _require(0.0 <= self.t_prime < math.inf, "t_prime must be non-negative and finite")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -213,17 +269,18 @@ class ExperimentConfig:
         if "stage" not in data or "case" not in data:
             raise ConfigError("config requires at least 'stage' and 'case'")
         return ExperimentConfig(
-            stage=int(data["stage"]),
+            stage=_as_int(data["stage"], "stage"),
             case=CaseSpec.from_value(data["case"]),
             alpha=_as_complex(data.get("alpha", DEFAULT_ALPHA), "alpha"),
             epsilon=_as_complex(data.get("epsilon", 0.0), "epsilon"),
-            theta_int=float(data.get("theta_int", math.pi)),
+            theta_int=_as_float(data.get("theta_int", math.pi), "theta_int"),
             mode=str(data.get("mode", "dispersive")),
             kick=str(data.get("kick", "slit")),
             readout=ReadoutSpec.from_value(data.get("readout", "trace")),
-            t_prime=float(data.get("t_prime", DEFAULT_T_PRIME)),
-            emit_qgrid=bool(data.get("emit_qgrid", False)),
-            emit_quadrature_pdf=bool(data.get("emit_quadrature_pdf", False)),
+            t_prime=_as_float(data.get("t_prime", DEFAULT_T_PRIME), "t_prime"),
+            emit_qgrid=_as_bool(data.get("emit_qgrid", False), "emit_qgrid"),
+            emit_quadrature_pdf=_as_bool(data.get("emit_quadrature_pdf", False),
+                                         "emit_quadrature_pdf"),
             numeric=NumericSpec.from_value(data.get("numeric", {})),
         )
 
@@ -344,12 +401,14 @@ def run(config: ExperimentConfig) -> RunResult:
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
     geom = SlitGeometry()
     alpha = 0.0 if config.stage == 1 else config.alpha
-    state = build_initial(prep, geom, alpha, config.numeric.grid, config.numeric.n_max)
+    tail_tol = config.numeric.tail_tolerance
+    state = build_initial(prep, geom, alpha, config.numeric.grid, config.numeric.n_max,
+                          tail_tol=tail_tol)
     diagnostics = {"stage": config.stage, "initial_norm_sq": state.norm_sq()}
 
     if config.stage >= 2:
         state = interact(state, config.interaction_params(), mode=config.mode,
-                         kick=config.kick, tail_tol=config.numeric.tail_tolerance)
+                         kick=config.kick, tail_tol=tail_tol)
         diagnostics["leak"] = state.diagnostics.leak
         diagnostics["truncation_loss"] = state.diagnostics.truncation_loss
         diagnostics["post_interaction_norm_sq"] = state.norm_sq()
@@ -372,8 +431,10 @@ def run(config: ExperimentConfig) -> RunResult:
         diagnostics["readout"] = {"kind": "quadrature", "theta": config.readout.theta,
                                   "chi": chi, "outcome_density": density}
     else:
-        rho = trace_out_field(state)
+        rho = trace_out_field(state, tail_tol=tail_tol)
         diagnostics["readout"] = {"kind": "trace"}
+    diagnostics["schmidt_rank"] = rho.rank
+    diagnostics["discarded_weight"] = rho.discarded_weight
 
     purity_before = rho.purity()
     rho_screen = free_propagate(rho, FlightSpec(config.t_prime),
@@ -415,9 +476,11 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     alpha_vec = coherent_state(base.alpha, n_max).amps
     points = []
     for eps in epsilons:
+        _require(_finite(eps), f"sweep epsilon must be finite, got {eps!r}")
         params = InteractionParams(epsilon=eps, theta_int=base.theta_int,
                                    detuning_ratio=base.numeric.detuning_ratio)
-        state = build_initial(prep, geom, base.alpha, grid, n_max)
+        state = build_initial(prep, geom, base.alpha, grid, n_max,
+                              tail_tol=base.numeric.tail_tolerance)
         state = interact(state, params, mode=base.mode, kick=base.kick,
                          tail_tol=base.numeric.tail_tolerance)
         rho_f = field_density(state)

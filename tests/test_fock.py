@@ -9,7 +9,7 @@ from scipy.stats import poisson
 from duality_sim.errors import NumericRangeError
 from duality_sim.fock import (FieldState, QuadratureSpec, coherent_state, husimi_q,
                               overlap, quadrature_eigenstate, quadrature_operator,
-                              quadrature_projector)
+                              quadrature_projector, quadrature_projectors)
 
 ALPHA = math.sqrt(8.0)
 
@@ -111,6 +111,18 @@ class TestQuadratureEigenstate:
     def test_overflow_guard(self):
         with pytest.raises(NumericRangeError):
             quadrature_eigenstate(QuadratureSpec(0.0, 50.0), 32)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7, 7.5])
+    def test_sweep_rows_equal_single_projectors(self, theta):
+        chis = np.linspace(-7.0, 7.0, 57)
+        rows = quadrature_projectors(theta, chis, 32)
+        assert rows.shape == (57, 32)
+        for chi, row in zip(chis, rows):
+            assert np.array_equal(row, quadrature_projector(QuadratureSpec(theta, chi), 32))
+
+    def test_sweep_underflow_guard_per_outcome(self):
+        with pytest.raises(NumericRangeError):
+            quadrature_projectors(0.0, [0.0, 50.0], 32)
 
 
 class TestHusimi:

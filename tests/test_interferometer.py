@@ -150,7 +150,7 @@ class TestTraceOutField:
         assert abs(np.vdot(amp_c, amp_b)) > 0.5 * np.linalg.norm(amp_c) * np.linalg.norm(amp_b)
 
     def test_zero_state_rejected(self, default_grid, geometry):
-        state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 16)
+        state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
         zero = JointState(grid=state.grid, geometry=state.geometry,
                           amps=np.zeros_like(state.amps))
         with pytest.raises(ValueError):

@@ -81,6 +81,15 @@ class TestRun:
         for name in ("pattern.csv", "metrics.json", "diagnostics.json", "qgrid.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_diagnostics_report_rank_and_discarded_weight(self):
+        result = run(small_config(stage=2))
+        assert result.diagnostics["schmidt_rank"] == 2
+        assert 0.0 <= result.diagnostics["discarded_weight"] < 1e-12
+        readout = run(small_config(stage=2, readout={"type": "quadrature", "theta": 0.0,
+                                                     "chi": 1.0}))
+        assert readout.diagnostics["schmidt_rank"] == 1
+        assert readout.diagnostics["discarded_weight"] == 0.0
+
     def test_metrics_file_keys(self, tmp_path):
         run(small_config()).write(tmp_path)
         payload = json.loads((tmp_path / "metrics.json").read_text())
@@ -226,3 +235,35 @@ class TestCli:
 
     def test_bad_sweep_values(self, tmp_path):
         assert main(["sweep-epsilon", "--level", "b", "--values", "a,b"]) == 2
+
+    def test_non_finite_sweep_value(self, tmp_path):
+        assert main(["sweep-epsilon", "--level", "b", "--values", "0,nan"]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"alpha": math.nan},
+        {"t_prime": -1.0},
+        {"theta_int": 0.0},
+        {"numeric": {"n_max": 0}},
+        {"stage": 2.7},
+        {"emit_qgrid": "no"},
+        {"emit_quadrature_pdf": 1},
+        {"case": {"c_up": math.nan, "c_down": 1.0, "phi": 0.0}},
+        {"numeric": {"tail_tolerance": -1.0}},
+        {"numeric": 5},
+    ])
+    def test_bad_value_exit_code(self, tmp_path, overrides):
+        data = {"stage": 2, "case": "V1", **overrides}
+        cfg = self.write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"numeric": {"n_max": 1}},
+        {"alpha": 10.0},
+    ])
+    def test_initial_truncation_exit_code(self, tmp_path, overrides):
+        data = {"stage": 2, "case": "V1", **overrides}
+        cfg = self.write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+    def test_integral_float_stage_accepted(self):
+        assert small_config(stage=2.0).stage == 2

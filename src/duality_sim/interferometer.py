@@ -3,8 +3,13 @@
 The atomic transverse coordinate lives on a uniform grid (units of 1/k_c,
 so the classical wavelength is 2 pi).  The top slit sits on the common
 antinode at x = 0, the bottom slit on the common node at x = pi/2, and
-each slit launches a Gaussian packet of width sigma.  The full state is a
-complex array indexed (grid point, level in {b, c}, Fock index).
+each slit launches a Gaussian packet of width sigma.  The joint state is a
+complex array indexed (grid row, level in {b, c}, Fock index) over its
+support window: the span of grid rows on which the slit packets are
+nonzero (beyond a few sigma the Gaussians underflow to exactly 0.0).  The
+interaction is diagonal in position, so it keeps the window, and every
+readout reduces over the window rows only.  The atomic state that leaves
+a readout is embedded into the full periodic grid for the free flight.
 
 Readouts reduce the field:
 
@@ -119,16 +124,30 @@ class InteractionDiagnostics:
 
 @dataclass(frozen=True)
 class JointState:
-    """Amplitudes indexed (grid point, level b/c, Fock index)."""
+    """Amplitudes indexed (grid row - start, level b/c, Fock index).
+
+    amps covers the grid rows [start, stop); the state is zero on every
+    other row.  start = 0 with one row per grid point is the full grid.
+    """
 
     grid: GridSpec
     geometry: SlitGeometry
     amps: np.ndarray
+    start: int = 0
     diagnostics: InteractionDiagnostics = dataclass_field(default_factory=InteractionDiagnostics)
 
     @property
     def n_max(self) -> int:
         return self.amps.shape[2]
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.amps.shape[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """Grid coordinates of the rows that amps covers."""
+        return self.grid.x[self.start:self.stop]
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx
@@ -160,6 +179,11 @@ class AtomDensity:
         """Probability density over (grid point, level)."""
         return np.sum(np.abs(self.factors) ** 2, axis=2)
 
+    def boundary_weight(self) -> float:
+        """Probability on the two edge points of the periodic grid."""
+        edges = np.sum(np.abs(self.factors[[0, -1]]) ** 2, axis=2)
+        return float(np.sum(edges)) * self.grid.dx
+
     def purity(self) -> float:
         """trace(rho^2) via the rank x rank Gram matrix."""
         flat = self.factors.reshape(-1, self.rank)
@@ -183,6 +207,8 @@ def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
                   grid: GridSpec, n_max: int, tail_tol: float = 1e-9) -> JointState:
     """Two slit packets, correlated internal states, and a coherent field.
 
+    The state covers the grid rows from the first to the last one where a
+    packet is nonzero; the cut is at exact zero, so nothing is dropped.
     The coherent state's weight beyond the Fock truncation is lost from the
     start; above tail_tol that raises TruncationError.
     """
@@ -206,16 +232,18 @@ def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
                abs(ground[-1]) ** 2 + abs(mixed[-1]) ** 2)
     if edge > 1e-8:
         raise ConfigError(f"slit packets reach the grid boundary (density {edge:.2e})")
-    amps = np.zeros((grid.n_points, 2, n_max), dtype=complex)
-    amps[:, LEVEL_INDEX["c"], :] = np.outer(ground, c_m)
-    amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed, c_m)
-    return JointState(grid=grid, geometry=geom, amps=amps)
+    support = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
+    start, stop = int(support[0]), int(support[-1]) + 1
+    amps = np.empty((stop - start, 2, n_max), dtype=complex)
+    amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
+    amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
+    return JointState(grid=grid, geometry=geom, amps=amps, start=start)
 
 
 def _kick_positions(state: JointState, kick: str):
     """Distinct positions at which the interaction multipliers are evaluated.
 
-    Returns (positions, index): grid point i takes the multipliers of
+    Returns (positions, index): state row i takes the multipliers of
     positions[index[i]], or of positions[i] when index is None.  "slit"
     assigns every grid point the centre of its nearest slit, which
     reproduces per-path evolution (each packet sees one antinode or node),
@@ -224,34 +252,37 @@ def _kick_positions(state: JointState, kick: str):
     the packet width.
     """
     if kick == LOCAL_KICK:
-        return state.grid.x, None
+        return state.x, None
     if kick == SLIT_KICK:
         geom = state.geometry
         positions = np.array([geom.x_top, geom.x_bottom])
-        return positions, np.where(state.grid.x < geom.midpoint, 0, 1)
+        return positions, np.where(state.x < geom.midpoint, 0, 1)
     raise ConfigError(f"unknown kick policy {kick!r}")
 
 
 def interact(state: JointState, params: InteractionParams, mode: str = "dispersive",
              kick: str = SLIT_KICK, tail_tol: float = 1e-9) -> JointState:
-    """Apply the cavity interaction to every grid point of the state.
+    """Apply the cavity interaction to every row of the state.
 
     Each level's Fock vector is replaced by its stay/cross branches; the
     photon-raising branch that falls off the truncation is accumulated
     into the truncation-loss diagnostic and trips TruncationError above
     tail_tol.  In exact mode the weight leaked to the excited level is
-    reported in diagnostics rather than tracked as a state.  One level's
-    multipliers are released before the other level's are evaluated.
+    reported in diagnostics rather than tracked as a state (dispersive
+    mode leaks nothing).  One level's multipliers are released before the
+    other level's are evaluated.  The map is diagonal in position, so the
+    output covers the input's window.
     """
     n_max = state.n_max
     dx = state.grid.dx
     xs, index = _kick_positions(state, kick)
+    exact = mode == "exact"
 
     def multipliers(level):
         stay, cross, leak = evolution.branch_multipliers(level, xs, params, n_max, mode)
         if index is None:
             return stay, cross, leak
-        return stay[index], cross[index], leak[index]
+        return stay[index], cross[index], leak[index] if exact else None
 
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
     in_c = state.amps[:, LEVEL_INDEX["c"], :]
@@ -260,7 +291,7 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     out_c = out[:, LEVEL_INDEX["c"], :]
 
     # |b>|m> -> |c>|m+1>; the top row falls off the truncation
-    stay, cross, leak = multipliers("b")
+    stay, cross, leak_b = multipliers("b")
     np.multiply(stay, in_b, out=out_b)
     np.multiply(cross[:, :-1], in_b[:, :-1], out=out_c[:, 1:])
     truncation_loss = float(np.sum(np.abs(cross[:, -1] * in_b[:, -1]) ** 2)) * dx
@@ -269,28 +300,37 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    leak_b = np.sum(leak * np.abs(in_b) ** 2)
-    del stay, cross, leak
+    leak = float(np.sum(leak_b * np.abs(in_b) ** 2)) if exact else 0.0
+    del stay, cross, leak_b
 
     # |c>|m> -> |b>|m-1>
-    stay, cross, leak = multipliers("c")
+    stay, cross, leak_c = multipliers("c")
     stay *= in_c
     out_c += stay
     cross[:, 1:] *= in_c[:, 1:]
     out_b[:, :-1] += cross[:, 1:]
-    leak = float(leak_b + np.sum(leak * np.abs(in_c) ** 2)) * dx
+    if exact:
+        leak = (leak + float(np.sum(leak_c * np.abs(in_c) ** 2))) * dx
     return JointState(
         grid=state.grid,
         geometry=state.geometry,
         amps=out,
+        start=state.start,
         diagnostics=InteractionDiagnostics(leak=leak, truncation_loss=truncation_loss),
     )
+
+
+def _embed(state: JointState, window: np.ndarray) -> np.ndarray:
+    """Atomic factors (window rows, 2, rank) scattered into the full grid."""
+    factors = np.zeros((state.grid.n_points, 2, window.shape[2]), dtype=complex)
+    factors[state.start:state.stop] = window
+    return factors
 
 
 def _field_gram(state: JointState):
     """Fock slices of the state as columns, and their Gram matrix.
 
-    Returns (flat, gram) with flat of shape (grid * level, n_max) and
+    Returns (flat, gram) with flat of shape (rows * level, n_max) and
     gram[m, n] = dx * sum_g conj(flat[g, m]) flat[g, n], the transpose of
     the unnormalised field density operator.
     """
@@ -330,7 +370,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     # (V^T flat^T)^T rather than flat @ V: the short-and-wide product keeps
     # no large BLAS work buffers alive
     columns = (vecs[:, keep] / math.sqrt(kept)).T @ flat.T
-    factors = columns.T.reshape(state.grid.n_points, 2, -1)
+    factors = _embed(state, columns.T.reshape(state.amps.shape[0], 2, -1))
     return AtomDensity(grid=state.grid, factors=factors, discarded_weight=discarded)
 
 
@@ -342,13 +382,13 @@ def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
     chosen angle.
     """
     coeffs = quadrature_projector(spec, state.n_max)
-    cond = state.amps @ coeffs.conj()  # (grid, level)
+    cond = state.amps @ coeffs.conj()  # (rows, level)
     density = float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
     if density < 1e-300:
         raise ImpossibleOutcomeError(
             f"outcome chi={spec.chi:g} at theta={spec.theta:g} has vanishing density"
         )
-    factors = (cond / math.sqrt(density))[:, :, None]
+    factors = _embed(state, (cond / math.sqrt(density))[:, :, None])
     return AtomDensity(grid=state.grid, factors=factors), density
 
 
@@ -357,7 +397,7 @@ def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
     n_max = state.n_max
     coeffs = quadrature_projectors(theta, chi_samples, n_max)
     flat = state.amps.reshape(-1, n_max)
-    cond = flat @ coeffs.conj().T  # (grid*level, chi)
+    cond = flat @ coeffs.conj().T  # (rows*level, chi)
     return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
 
 

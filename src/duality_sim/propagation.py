@@ -92,9 +92,11 @@ def free_propagate(rho: AtomDensity, flight: FlightSpec,
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     kernel = np.exp(-1j * flight.tau * k * k)
     spectra = np.fft.fft(rho.factors, axis=0)
-    factors = np.fft.ifft(kernel[:, None, None] * spectra, axis=0)
-    out = AtomDensity(grid=grid, factors=factors)
-    edge = float(np.sum(out.diagonal()[[0, -1], :])) * grid.dx
+    # in place, kernel first: with the operands swapped the complex
+    # products round differently
+    np.multiply(kernel[:, None, None], spectra, out=spectra)
+    out = AtomDensity(grid=grid, factors=np.fft.ifft(spectra, axis=0))
+    edge = out.boundary_weight()
     if edge > boundary_tol:
         raise GridError(
             f"boundary probability {edge:.3e} exceeds {boundary_tol:.1e}; "

@@ -404,7 +404,8 @@ def run(config: ExperimentConfig) -> RunResult:
     tail_tol = config.numeric.tail_tolerance
     state = build_initial(prep, geom, alpha, config.numeric.grid, config.numeric.n_max,
                           tail_tol=tail_tol)
-    diagnostics = {"stage": config.stage, "initial_norm_sq": state.norm_sq()}
+    diagnostics = {"stage": config.stage, "initial_norm_sq": state.norm_sq(),
+                   "support_rows": [state.start, state.stop]}
 
     if config.stage >= 2:
         state = interact(state, config.interaction_params(), mode=config.mode,
@@ -440,6 +441,7 @@ def run(config: ExperimentConfig) -> RunResult:
     rho_screen = free_propagate(rho, FlightSpec(config.t_prime),
                                 boundary_tol=config.numeric.boundary_tolerance)
     diagnostics["trace"] = rho_screen.trace()
+    diagnostics["boundary_weight"] = rho_screen.boundary_weight()
     diagnostics["purity_before_flight"] = purity_before
     diagnostics["purity_after_flight"] = rho_screen.purity()
 

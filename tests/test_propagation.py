@@ -9,8 +9,8 @@ from analytic import evolved_gaussian, gaussian_spread_sigma, pattern_l2, two_sl
 from duality_sim.errors import GridError, UndefinedVisibilityError
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import QuadratureSpec
-from duality_sim.interferometer import (GridSpec, PreparationParams, SlitGeometry,
-                                        build_initial, condition_on_quadrature,
+from duality_sim.interferometer import (AtomDensity, GridSpec, PreparationParams,
+                                        SlitGeometry, build_initial, condition_on_quadrature,
                                         interact, trace_out_field)
 from duality_sim.propagation import (WAVELENGTH, FlightSpec, ScreenPattern,
                                      free_propagate, fringe_visibility,
@@ -54,6 +54,23 @@ class TestFreePropagate:
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert abs(out.purity() - rho.purity()) < 1e-10
 
+    def test_flight_is_the_spectral_kernel_bit_for_bit(self, default_grid, geometry):
+        state = interact(
+            build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
+                          geometry, ALPHA, default_grid, 48),
+            InteractionParams(epsilon=0.0, theta_int=math.pi))
+        rho = trace_out_field(state)
+        flight = FlightSpec(12.0)  # long enough to put weight on the grid edge
+        out = free_propagate(rho, flight, boundary_tol=math.inf)
+        k = 2.0 * math.pi * np.fft.fftfreq(default_grid.n_points, d=default_grid.dx)
+        kernel = np.exp(-1j * flight.tau * k * k)
+        factors = np.fft.ifft(kernel[:, None, None] * np.fft.fft(rho.factors, axis=0), axis=0)
+        assert np.array_equal(out.factors, factors)
+        full = AtomDensity(grid=default_grid, factors=factors)
+        edge = float(np.sum(full.diagonal()[[0, -1], :])) * default_grid.dx
+        assert edge > 0.0
+        assert np.array_equal(out.boundary_weight(), edge)
+
     def test_grid_too_small_raises(self, default_grid, geometry):
         rho = trace_out_field(build_initial(
             PreparationParams(1.0, 0.0, 0.0), geometry, 0.0, default_grid, 4))
@@ -73,7 +90,9 @@ class TestFreePropagate:
 
         k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
         kernel = np.exp(-1j * flight.tau * k * k)
-        evolved = np.fft.ifft(kernel[:, None, None] * np.fft.fft(state.amps, axis=0), axis=0)
+        amps = np.zeros((grid.n_points,) + state.amps.shape[1:], dtype=complex)
+        amps[state.start:state.stop] = state.amps
+        evolved = np.fft.ifft(kernel[:, None, None] * np.fft.fft(amps, axis=0), axis=0)
         from duality_sim.interferometer import JointState
         moved = JointState(grid=grid, geometry=geometry, amps=evolved)
         pat_b = screen_distribution(trace_out_field(moved))

@@ -90,6 +90,16 @@ class TestRun:
         assert readout.diagnostics["schmidt_rank"] == 1
         assert readout.diagnostics["discarded_weight"] == 0.0
 
+    def test_diagnostics_report_support_rows_and_boundary_weight(self, tmp_path):
+        result = run(small_config(stage=2))
+        start, stop = result.diagnostics["support_rows"]
+        assert 0 < start < stop < SMALL_NUMERIC["grid"]["n_points"]
+        assert 0.0 <= result.diagnostics["boundary_weight"] <= 1e-6
+        result.write(tmp_path)
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert payload["support_rows"] == [start, stop]
+        assert payload["boundary_weight"] == result.diagnostics["boundary_weight"]
+
     def test_metrics_file_keys(self, tmp_path):
         run(small_config()).write(tmp_path)
         payload = json.loads((tmp_path / "metrics.json").read_text())

@@ -28,8 +28,11 @@ Readouts reduce the field:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +59,44 @@ __all__ = [
     "quadrature_pdf",
     "field_density",
 ]
+
+
+@functools.cache
+def _openblas_threads():
+    """Setter of numpy's bundled OpenBLAS thread count (returns the old count), or None."""
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            setter = getattr(ctypes.CDLL(str(lib)), "openblas_set_num_threads_local", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            return setter
+    return None
+
+
+def _one_blas_thread(func):
+    """Run func with numpy's OpenBLAS on one thread, then restore its count.
+
+    For the small products of a readout (the n_max x n_max Gram matrix, its
+    eigenproblem, rank-r factors).  Split over OpenBLAS workers they gain
+    little, and a worker then spins for about 0.1 s, which holds a second
+    core through a run and slows it to the pace of any other process that
+    wants that core.  The count is process-wide; without a bundled OpenBLAS
+    this does nothing.
+    """
+    @functools.wraps(func)
+    def limited(*args, **kwargs):
+        setter = _openblas_threads()
+        if setter is None:
+            return func(*args, **kwargs)
+        previous = setter(1)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            setter(previous)
+    return limited
 
 
 @dataclass(frozen=True)
@@ -184,10 +225,10 @@ class AtomDensity:
         edges = np.sum(np.abs(self.factors[[0, -1]]) ** 2, axis=2)
         return float(np.sum(edges)) * self.grid.dx
 
+    @_one_blas_thread
     def purity(self) -> float:
         """trace(rho^2) via the rank x rank Gram matrix."""
-        flat = self.factors.reshape(-1, self.rank)
-        gram = (flat.conj().T @ flat) * self.grid.dx
+        gram = _gram(self.factors.reshape(-1, self.rank)) * self.grid.dx
         return float(np.sum(np.abs(gram) ** 2))
 
     def rho(self) -> np.ndarray:
@@ -327,6 +368,18 @@ def _embed(state: JointState, window: np.ndarray) -> np.ndarray:
     return factors
 
 
+def _gram(flat: np.ndarray) -> np.ndarray:
+    """conj(flat).T @ flat for a complex matrix of columns.
+
+    One real symmetric product (BLAS syrk, half the work of a complex gemm)
+    over the interleaved (re, im) columns, then recombined; no conjugated
+    copy of flat is made.
+    """
+    parts = np.ascontiguousarray(flat).view(float)
+    real = parts.T @ parts
+    return real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
+
+
 def _field_gram(state: JointState):
     """Fock slices of the state as columns, and their Gram matrix.
 
@@ -335,14 +388,10 @@ def _field_gram(state: JointState):
     the unnormalised field density operator.
     """
     flat = np.ascontiguousarray(state.amps.reshape(-1, state.n_max))
-    # one real symmetric product (BLAS syrk, half the work of a complex
-    # gemm) over the interleaved (re, im) columns, then recombined
-    parts = flat.view(float)
-    real = parts.T @ parts
-    gram = real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
-    return flat, gram * state.grid.dx
+    return flat, _gram(flat) * state.grid.dx
 
 
+@_one_blas_thread
 def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     """Partial trace over the field at its true rank, renormalised to unit trace.
 

@@ -95,7 +95,7 @@ def free_propagate(rho: AtomDensity, flight: FlightSpec,
     # in place, kernel first: with the operands swapped the complex
     # products round differently
     np.multiply(kernel[:, None, None], spectra, out=spectra)
-    out = AtomDensity(grid=grid, factors=np.fft.ifft(spectra, axis=0))
+    out = AtomDensity(grid=grid, factors=np.fft.ifft(spectra, axis=0, out=spectra))
     edge = out.boundary_weight()
     if edge > boundary_tol:
         raise GridError(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from duality_sim import interferometer
 from duality_sim.errors import ConfigError, ImpossibleOutcomeError
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import FieldState, QuadratureSpec, coherent_state, overlap
@@ -157,6 +158,53 @@ class TestTraceOutField:
                           amps=np.zeros_like(state.amps))
         with pytest.raises(ValueError):
             trace_out_field(zero)
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads numpy's OpenBLAS thread count; sets it to 2 for the test."""
+    setter = interferometer._openblas_threads()
+    if setter is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    original = setter(2)
+
+    def count():
+        current = setter(1)
+        setter(current)
+        return current
+
+    yield count
+    setter(original)
+
+
+class TestReadoutBlasThreads:
+    def test_trace_and_purity_use_one_thread(self, monkeypatch, blas_threads,
+                                             default_grid, geometry):
+        seen = []
+        real_eigh, real_gram = np.linalg.eigh, interferometer._gram
+
+        def eigh(*args, **kwargs):
+            seen.append(("eigh", blas_threads()))
+            return real_eigh(*args, **kwargs)
+
+        def gram(*args, **kwargs):
+            seen.append(("gram", blas_threads()))
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(interferometer, "_gram", gram)
+        rho = trace_out_field(build_initial(prep_v1(), geometry, ALPHA, default_grid, 48))
+        rho.purity()
+        assert seen == [("gram", 1), ("eigh", 1), ("gram", 1)]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_trace_raises(self, blas_threads, default_grid, geometry):
+        state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
+        zero = JointState(grid=state.grid, geometry=state.geometry,
+                          amps=np.zeros_like(state.amps))
+        with pytest.raises(ValueError):
+            trace_out_field(zero)
+        assert blas_threads() == 2
 
 
 @pytest.fixture(scope="module")

@@ -13,10 +13,8 @@ from .duality import DualityMetrics, SphereCase, gamma_of_phi, metrics, sphere_c
 from .errors import (ConfigError, GridError, ImpossibleOutcomeError, NumericError,
                      NumericRangeError, SimulationError, TruncationError,
                      UndefinedVisibilityError)
-from .evolution import (CouplingPair, InteractionParams, LevelBranch, coupling_at,
-                        dispersive_row, effective_hamiltonian_phase, exact_row)
+from .evolution import InteractionParams
 from .fock import (FieldState, QGrid, QuadratureSpec, coherent_state, husimi_q,
-                   overlap, quadrature_eigenstate, quadrature_operator,
                    quadrature_projector)
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,
                              SlitGeometry, build_initial, condition_on_quadrature,

@@ -3,10 +3,10 @@
 A three-level atom (ground |c>, intermediate |b>, excited |a>) crosses two
 superposed standing waves: a quantised mode coupling the a-c transition
 with position-dependent strength g cos(k_q x), and a classical drive of
-amplitude epsilon coupling a-b with strength g' cos(k_c x).  The quantum
-wavenumber is three times the classical one, so the modes share the
-antinode at x = 0 and the node at x = pi/2 (a quarter classical
-wavelength).
+amplitude epsilon coupling a-b with strength g' cos(k_c x).  The geometry
+fixes the constants: g' = g, and in units of 1/k_c the wavenumbers are
+k_c = 1 and k_q = 3, so the modes share the antinode at x = 0 and the
+node at x = pi/2 (a quarter classical wavelength).
 
 Both detunings are equal and large, so |a> is only virtually populated.
 In that regime the propagator restricted to {b, c} acts per Fock index m:
@@ -14,14 +14,14 @@ the input level keeps its photon number and acquires a phase, while the
 cross branch exchanges one photon with the quantum mode (m -> m+1 from
 |b>, m -> m-1 from |c>).  With
 
-    A = cos^2(k_q x) * n_eff          (n_eff = m+1 from |b>, m from |c>)
-    B = (g'/g)^2 cos^2(k_c x) |eps|^2
+    A = cos^2(3x) * n_eff             (n_eff = m+1 from |b>, m from |c>)
+    B = cos^2(x) |eps|^2
     theta = Theta * (A + B),          Theta = g^2 t / Delta
 
 the dispersive multipliers on the input amplitude c_m are
 
     stay  = 1 + numer * (e^{i theta} - 1) / (A + B)
-    cross = cos(k_q x) cos(k_c x) (g'/g) eps^(*) sqrt(n_eff) (e^{i theta} - 1) / (A + B)
+    cross = cos(3x) cos(x) eps^(*) sqrt(n_eff) (e^{i theta} - 1) / (A + B)
 
 with numer = B from |b> and numer = A from |c>.  Per m this map is exactly
 unitary on the two-level subspace: |stay|^2 + |cross|^2 = 1.  At a common
@@ -32,6 +32,7 @@ The exact (finite-detuning) multipliers replace e^{i theta} - 1 by
     e^{-i Delta t / 2} (cos(sqrt(mu) t) + i (Delta/2) sin(sqrt(mu) t)/sqrt(mu)) - 1,
     mu = g^2 (A + B) + Delta^2 / 4,
 
+with the coupling time g t = Theta * Delta / g, so both maps share Theta,
 and leave a small population in |a> reported as a leak instead of a state.
 """
 
@@ -42,9 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
-from .fock import FieldState
-
 LEVELS = ("b", "c")
 
 # A + B values below this floor are float residue of node positions
@@ -52,17 +50,7 @@ LEVELS = ("b", "c")
 # exact node.  The implied phase bound is theta_int * 1e-28.
 DEGENERACY_FLOOR = 1e-28
 
-__all__ = [
-    "LEVELS",
-    "InteractionParams",
-    "CouplingPair",
-    "LevelBranch",
-    "coupling_at",
-    "branch_multipliers",
-    "dispersive_row",
-    "exact_row",
-    "effective_hamiltonian_phase",
-]
+__all__ = ["LEVELS", "InteractionParams", "branch_multipliers"]
 
 
 @dataclass(frozen=True)
@@ -71,20 +59,12 @@ class InteractionParams:
 
     epsilon        classical drive amplitude (complex allowed, real typical)
     theta_int      dispersive phase per unit of A + B, i.e. g^2 t / Delta
-    g_ratio        g'/g for the classical-drive coupling (1 by default)
-    k_q, k_c       wavenumbers of the quantum and classical modes; k_q = 3 k_c
     detuning_ratio Delta/g, used only by the exact multipliers
-    coupling_time  g t, used only by the exact multipliers; defaults to
-                   theta_int * detuning_ratio so both routes share Theta
     """
 
     epsilon: complex = 0.0
     theta_int: float = math.pi
-    g_ratio: float = 1.0
-    k_q: float = 3.0
-    k_c: float = 1.0
     detuning_ratio: float = 200.0
-    coupling_time: float | None = None
 
     def __post_init__(self):
         eps = complex(self.epsilon)
@@ -93,41 +73,8 @@ class InteractionParams:
         object.__setattr__(self, "epsilon", eps)
         if not self.theta_int > 0.0:
             raise ValueError("theta_int must be positive")
-        if abs(self.k_q - 3.0 * self.k_c) > 1e-12 * max(1.0, abs(self.k_c)):
-            raise ValueError("quantum wavenumber must be three times the classical one")
         if not self.detuning_ratio > 0.0:
             raise ValueError("detuning_ratio must be positive")
-
-    @property
-    def gt(self) -> float:
-        """Coupling time g*t implied by Theta when not set explicitly."""
-        if self.coupling_time is not None:
-            return float(self.coupling_time)
-        return self.theta_int * self.detuning_ratio
-
-
-@dataclass(frozen=True)
-class CouplingPair:
-    """Local couplings in units of g: g1 = cos(k_q x), g2 = (g'/g) cos(k_c x)."""
-
-    g1: float
-    g2: float
-
-
-@dataclass(frozen=True)
-class LevelBranch:
-    """One output branch of the interaction: internal level plus field."""
-
-    level: str
-    field: FieldState
-
-
-def coupling_at(x: float, params: InteractionParams) -> CouplingPair:
-    """Standing-wave couplings at position x (units of 1/k_c, antinode at 0)."""
-    return CouplingPair(
-        g1=math.cos(params.k_q * x),
-        g2=params.g_ratio * math.cos(params.k_c * x),
-    )
 
 
 def _level_arrays(level_in, x, params, n_max):
@@ -135,8 +82,8 @@ def _level_arrays(level_in, x, params, n_max):
     if level_in not in LEVELS:
         raise ValueError(f"unknown input level {level_in!r}")
     x = np.asarray(x, dtype=float)
-    cq = np.cos(params.k_q * x)[..., None]
-    cc = params.g_ratio * np.cos(params.k_c * x)[..., None]
+    cq = np.cos(3.0 * x)[..., None]
+    cc = np.cos(x)[..., None]
     m = np.arange(n_max, dtype=float)
     eps = complex(params.epsilon)
     drive = cc * cc * abs(eps) ** 2
@@ -168,7 +115,7 @@ def branch_multipliers(level_in, x, params: InteractionParams, n_max: int, mode=
         leak = np.zeros_like(total)
     elif mode == "exact":
         d = params.detuning_ratio
-        gt = params.gt
+        gt = params.theta_int * d
         mu = total + 0.25 * d * d
         arg = gt * np.sqrt(mu)
         sinc = np.sin(arg) / np.sqrt(mu)
@@ -181,64 +128,3 @@ def branch_multipliers(level_in, x, params: InteractionParams, n_max: int, mode=
     stay = np.where(degenerate, 1.0 + 0.0j, 1.0 + numer * ring / safe)
     cross = np.where(degenerate, 0.0 + 0.0j, cross_amp * ring / safe)
     return stay, cross, leak
-
-
-def effective_hamiltonian_phase(m: int, level: str, x: float, params: InteractionParams) -> float:
-    """Accumulated dispersive phase Theta * (A + B) for Fock index m."""
-    drive, photon, _ = _level_arrays(level, float(x), params, m + 1)
-    total = drive + photon  # broadcasts the drive term over the Fock axis
-    return float(params.theta_int * total[..., m])
-
-
-def _assemble_branches(level_in, field_in, stay, cross, tail_tol):
-    """Build the branch list from multipliers; police the top-row shift."""
-    amps = field_in.amps
-    n_max = field_in.n_max
-    other = "c" if level_in == "b" else "b"
-    branches = [LevelBranch(level=level_in, field=FieldState(stay * amps))]
-    lost = 0.0
-    if level_in == "b":
-        # cross branch raises the photon number; the top coefficient falls
-        # off the truncation and is accounted as loss.
-        shifted = np.zeros(n_max, dtype=complex)
-        shifted[1:] = cross[:-1] * amps[:-1]
-        lost = float(abs(cross[-1] * amps[-1]) ** 2)
-    else:
-        shifted = np.zeros(n_max, dtype=complex)
-        shifted[:-1] = cross[1:] * amps[1:]
-    if lost > tail_tol:
-        raise TruncationError(
-            f"photon-raising branch lost {lost:.3e} weight past the truncation "
-            f"(tolerance {tail_tol:.1e}); increase n_max"
-        )
-    cross_state = FieldState(shifted)
-    if cross_state.norm_sq() > 0.0:
-        branches.append(LevelBranch(level=other, field=cross_state))
-    return branches, lost
-
-
-def dispersive_row(level_in, field_in: FieldState, x: float, params: InteractionParams,
-                   tail_tol: float = 1e-9):
-    """Dispersive image of |level_in> (x) field_in at position x.
-
-    Returns the branch list; the cross branch is omitted when it carries no
-    weight (epsilon = 0, a node, or the vacuum from |c>).
-    """
-    stay, cross, _ = branch_multipliers(level_in, float(x), params, field_in.n_max,
-                                        mode="dispersive")
-    branches, _ = _assemble_branches(level_in, field_in, stay, cross, tail_tol)
-    return branches
-
-
-def exact_row(level_in, field_in: FieldState, x: float, params: InteractionParams,
-              tail_tol: float = 1e-9):
-    """Finite-detuning image of |level_in> (x) field_in at position x.
-
-    Returns (branches, leak) where leak is the input weight lost to the
-    excited level; it vanishes as detuning_ratio grows at fixed theta_int.
-    """
-    stay, cross, leak = branch_multipliers(level_in, float(x), params, field_in.n_max,
-                                           mode="exact")
-    branches, _ = _assemble_branches(level_in, field_in, stay, cross, tail_tol)
-    weights = np.abs(field_in.amps) ** 2
-    return branches, float(np.sum(leak * weights))

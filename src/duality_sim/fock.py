@@ -28,15 +28,10 @@ __all__ = [
     "QuadratureSpec",
     "QGrid",
     "coherent_state",
-    "lowering_operator",
-    "number_operator",
-    "quadrature_operator",
-    "quadrature_eigenstate",
     "quadrature_projector",
     "quadrature_projectors",
     "hermite_oscillator_functions",
     "husimi_q",
-    "overlap",
 ]
 
 
@@ -116,21 +111,6 @@ def coherent_state(alpha: complex, n_max: int) -> FieldState:
     return FieldState(amps)
 
 
-def lowering_operator(n_max: int) -> np.ndarray:
-    """Annihilation operator a on the truncated basis."""
-    return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
-
-
-def number_operator(n_max: int) -> np.ndarray:
-    return np.diag(np.arange(n_max, dtype=float)).astype(complex)
-
-
-def quadrature_operator(theta: float, n_max: int) -> np.ndarray:
-    """Hermitian matrix of X_theta = (a e^{-i theta} + a^dag e^{i theta})/2."""
-    half = 0.5 * np.exp(-1j * float(theta)) * lowering_operator(n_max)
-    return half + half.conj().T
-
-
 def hermite_oscillator_functions(u, n_max: int) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions psi_n(u) for n < n_max.
 
@@ -185,19 +165,6 @@ def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
     return (2.0 ** 0.25) * psi * phases
 
 
-def quadrature_eigenstate(spec: QuadratureSpec, n_max: int) -> FieldState:
-    """Truncated quadrature eigenstate, unit-normalised.
-
-    The exact eigenstate is an infinitely squeezed state and is not
-    normalisable; truncation makes the coefficient vector finite and the
-    overall constant is fixed by unit norm in the truncated space.  The
-    vector satisfies X_theta |chi> ~= chi |chi> away from the truncation
-    edge (checked by the eigenvalue-residual tests).
-    """
-    coeffs = quadrature_projector(spec, n_max)
-    return FieldState(coeffs / math.sqrt(float(np.vdot(coeffs, coeffs).real)))
-
-
 def _coherent_matrix(betas: np.ndarray, n_max: int) -> np.ndarray:
     """Columns of coherent amplitudes c_m(beta) for a vector of betas."""
     betas = np.asarray(betas, dtype=complex)
@@ -229,10 +196,3 @@ def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
     vals = np.vecdot(cmat, rho @ cmat, axis=0).real / math.pi
     vals = np.maximum(vals, 0.0).reshape(x_axis.size, y_axis.size)
     return QGrid(x_axis=x_axis, y_axis=y_axis, values=vals)
-
-
-def overlap(a: FieldState, b: FieldState) -> complex:
-    """<a|b> = sum_m conj(a_m) b_m."""
-    if a.n_max != b.n_max:
-        raise ValueError("field states live in different truncations")
-    return complex(np.vdot(a.amps, b.amps))

@@ -231,13 +231,6 @@ class AtomDensity:
         gram = _gram(self.factors.reshape(-1, self.rank)) * self.grid.dx
         return float(np.sum(np.abs(gram) ** 2))
 
-    def rho(self) -> np.ndarray:
-        """Dense density matrix indexed (i, s, j, s'); use on small grids."""
-        flat = self.factors.reshape(-1, self.rank)
-        dense = flat @ flat.conj().T
-        n = self.grid.n_points
-        return dense.reshape(n, 2, n, 2)
-
 
 def _slit_profile(grid: GridSpec, centre: float, sigma: float) -> np.ndarray:
     x = grid.x

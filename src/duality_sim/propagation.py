@@ -43,6 +43,7 @@ __all__ = [
     "free_propagate",
     "screen_distribution",
     "fringe_visibility",
+    "write_columns",
 ]
 
 
@@ -74,10 +75,14 @@ class ScreenPattern:
         return float(self.x_axis[1] - self.x_axis[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("x_lambda,intensity\n")
-            for x, v in zip(self.x_axis, self.intensity):
-                fh.write(f"{x:.9g},{v:.9g}\n")
+        write_columns(path, "x_lambda,intensity", self.x_axis, self.intensity)
+
+
+def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
+    """A CSV of a header line and two columns, 9 significant digits."""
+    body = "".join(map("{:.9g},{:.9g}\n".format, x.tolist(), values.tolist()))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + body)
 
 
 def free_propagate(rho: AtomDensity, flight: FlightSpec,

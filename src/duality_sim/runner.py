@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .fock import QGrid, QuadratureSpec, coherent_state, husimi_q
 from .interferometer import (GridSpec, JointState, PreparationParams, SlitGeometry,
                              build_initial, condition_on_quadrature, field_density,
                              interact, quadrature_pdf, trace_out_field)
-from .propagation import FlightSpec, ScreenPattern, free_propagate, fringe_visibility, screen_distribution
+from .propagation import (FlightSpec, ScreenPattern, free_propagate, fringe_visibility,
+                          screen_distribution, write_columns)
 
 DEFAULT_ALPHA = math.sqrt(8.0)
 DEFAULT_T_PRIME = 3.0
@@ -344,10 +345,7 @@ class RunResult:
         if self.qgrid is not None:
             self.qgrid.to_csv(out / "qgrid.csv")
         if self.chi_pdf is not None:
-            with open(out / "quadrature_pdf.csv", "w", encoding="ascii") as fh:
-                fh.write("chi,density\n")
-                for chi, dens in zip(self.chi_axis, self.chi_pdf):
-                    fh.write(f"{chi:.9g},{dens:.9g}\n")
+            write_columns(out / "quadrature_pdf.csv", "chi,density", self.chi_axis, self.chi_pdf)
 
 
 def _write_json(path, payload) -> None:
@@ -470,21 +468,16 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     """
     if level not in ("b", "c"):
         raise ConfigError("sweep level must be 'b' or 'c'")
-    phi = math.pi / 2.0 if level == "b" else 0.0
-    prep = PreparationParams(c_up=1.0, c_down=0.0, phi=phi)
-    geom = SlitGeometry()
-    grid = base.numeric.grid
-    n_max = base.numeric.n_max
-    alpha_vec = coherent_state(base.alpha, n_max).amps
+    case = CaseSpec(c_up=1.0, c_down=0.0, phi=math.pi / 2.0 if level == "b" else 0.0)
+    alpha_vec = coherent_state(base.alpha, base.numeric.n_max).amps
     points = []
     for eps in epsilons:
-        _require(_finite(eps), f"sweep epsilon must be finite, got {eps!r}")
-        params = InteractionParams(epsilon=eps, theta_int=base.theta_int,
-                                   detuning_ratio=base.numeric.detuning_ratio)
-        state = build_initial(prep, geom, base.alpha, grid, n_max,
-                              tail_tol=base.numeric.tail_tolerance)
-        state = interact(state, params, mode=base.mode, kick=base.kick,
-                         tail_tol=base.numeric.tail_tolerance)
+        config = replace(base, stage=3, epsilon=eps, case=case)
+        tail_tol = config.numeric.tail_tolerance
+        state = build_initial(case.preparation(), SlitGeometry(), config.alpha,
+                              config.numeric.grid, config.numeric.n_max, tail_tol=tail_tol)
+        state = interact(state, config.interaction_params(), mode=config.mode,
+                         kick=config.kick, tail_tol=tail_tol)
         rho_f = field_density(state)
         ov = float(np.real(alpha_vec.conj() @ rho_f @ alpha_vec))
         points.append(SweepPoint(

@@ -1,7 +1,8 @@
 """Closed-form oracles and small helpers shared by the test modules.
 
-These stay independent of the spectral pipeline they check: everything is
-evaluated from the analytic free-Gaussian solution.
+These stay independent of the pipeline they check: the flight oracles are
+evaluated from the analytic free-Gaussian solution, the Fock-space ones
+from dense matrices on the truncated number basis.
 """
 
 import math
@@ -44,3 +45,26 @@ def visibility_or_zero(pattern, window=None) -> float:
         return fringe_visibility(pattern, window)
     except UndefinedVisibilityError:
         return 0.0
+
+
+def lowering_operator(n_max: int) -> np.ndarray:
+    """Annihilation operator a on the truncated basis."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)
+
+
+def quadrature_operator(theta: float, n_max: int) -> np.ndarray:
+    """Hermitian matrix of X_theta = (a e^{-i theta} + a^dag e^{i theta})/2."""
+    half = 0.5 * np.exp(-1j * float(theta)) * lowering_operator(n_max)
+    return half + half.conj().T
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 / (<a|a> <b|b>) for two Fock amplitude vectors."""
+    return abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+
+
+def dense_rho(rho) -> np.ndarray:
+    """Dense atomic density matrix L L^dag, indexed (i, s, j, s'); small grids only."""
+    flat = rho.factors.reshape(-1, rho.rank)
+    n = rho.grid.n_points
+    return (flat @ flat.conj().T).reshape(n, 2, n, 2)

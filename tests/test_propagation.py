@@ -127,6 +127,19 @@ class TestScreenDistribution:
         pattern = screen_distribution(free_propagate(rho, FlightSpec(3.0)))
         assert np.max(np.abs(pattern.intensity - pattern.intensity[::-1])) < 1e-8
 
+    def test_csv_bytes_match_per_line_format(self, tmp_path):
+        # 16384 rows with zeros, negatives and values down to the smallest subnormal
+        rng = np.random.default_rng(7)
+        x_axis = np.linspace(-40.0, 42.0, 16384, endpoint=False) / WAVELENGTH
+        intensity = rng.random(16384) * 10.0 ** rng.integers(-300, 3, 16384)
+        intensity[::97] = 0.0
+        intensity[5::101] *= -1.0
+        intensity[:3] = (1e-300, 5e-324, 1.0)
+        ScreenPattern(x_axis, intensity).to_csv(tmp_path / "pattern.csv")
+        oracle = "x_lambda,intensity\n" + "".join(
+            f"{x:.9g},{v:.9g}\n" for x, v in zip(x_axis, intensity))
+        assert (tmp_path / "pattern.csv").read_bytes() == oracle.encode("ascii")
+
 
 @settings(max_examples=10, deadline=None)
 @given(

@@ -100,6 +100,16 @@ class TestRun:
         assert payload["support_rows"] == [start, stop]
         assert payload["boundary_weight"] == result.diagnostics["boundary_weight"]
 
+    def test_two_column_files_match_per_line_format(self, tmp_path):
+        result = run(small_config(stage=2, emit_quadrature_pdf=True))
+        result.write(tmp_path)
+        pattern = result.pattern
+        for name, header, x, v in (
+                ("pattern.csv", "x_lambda,intensity", pattern.x_axis, pattern.intensity),
+                ("quadrature_pdf.csv", "chi,density", result.chi_axis, result.chi_pdf)):
+            oracle = header + "\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(x, v))
+            assert (tmp_path / name).read_bytes() == oracle.encode("ascii")
+
     def test_metrics_file_keys(self, tmp_path):
         run(small_config()).write(tmp_path)
         payload = json.loads((tmp_path / "metrics.json").read_text())
@@ -242,6 +252,19 @@ class TestCli:
         assert code == 0
         for name in ("V1", "VD", "D1", "DC", "C1", "CV", "VDC"):
             assert (out / name / "pattern.csv").exists()
+
+    def test_sphere_command_erased_stage(self, tmp_path):
+        # stage 2 conditioned on the most probable phase-quadrature outcome
+        readout = {"type": "quadrature", "theta": math.pi / 2, "chi": "most-probable"}
+        cfg = self.write_cfg(tmp_path, {"stage": 2, "case": "V1", "readout": readout,
+                                        "numeric": SMALL_NUMERIC})
+        out = tmp_path / "erased"
+        assert main(["sphere", "--stage", "2", "--config", cfg, "--out", str(out)]) == 0
+        cases = sorted(p.name for p in out.iterdir())
+        assert cases == sorted(["V1", "VD", "D1", "DC", "C1", "CV", "VDC"])
+        for name in cases:
+            diagnostics = json.loads((out / name / "diagnostics.json").read_text())
+            assert diagnostics["readout"]["kind"] == "quadrature"
 
     def test_bad_sweep_values(self, tmp_path):
         assert main(["sweep-epsilon", "--level", "b", "--values", "a,b"]) == 2

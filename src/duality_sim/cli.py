@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericError
 from .runner import (DEFAULT_ALPHA, ExperimentConfig, epsilon_sweep, load_config,
-                     run, sphere_suite)
+                     read_config, run, sphere_suite)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,11 +90,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _base_config(args: argparse.Namespace, stage: int) -> ExperimentConfig:
-    if args.config:
-        data = load_config(args.config).to_dict()
-        data["stage"] = stage
-    else:
-        data = {"stage": stage, "case": "V1"}
+    # a base file may leave out stage and case; what it holds is checked as written
+    data = {"stage": stage, "case": "V1", **(read_config(args.config) if args.config else {})}
+    data = ExperimentConfig.from_dict(data).to_dict()
+    data["stage"] = stage
     if getattr(args, "alpha", None) is not None:
         data["alpha"] = args.alpha
     return ExperimentConfig.from_dict(data)

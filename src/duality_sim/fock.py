@@ -10,6 +10,11 @@ and vacuum quadrature variance 1/4.  With that scaling the quadrature
 wavefunction of |alpha> is a Gaussian of standard deviation 1/2 centred on
 the rotated amplitude, which is what makes homodyne outcomes +/-|alpha|
 read off the sign of a pi phase kick directly.
+
+Husimi Q is evaluated at the rank of rho = sum_k lambda_k v_k v_k^dag, in
+Bargmann form: Q(beta) = e^{-|beta|^2}/pi sum_k lambda_k |sum_m v_km conj(beta)^m/sqrt(m!)|^2,
+each polynomial by Horner's rule.  On a 141^2 grid at n_max = 96 that beats the
+dense coherent-matrix product below rank ~30 and is about 3x slower at rank 96.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "quadrature_projectors",
     "hermite_oscillator_functions",
     "husimi_q",
+    "rank_cut",
+    "write_columns",
 ]
 
 
@@ -83,11 +90,17 @@ class QGrid:
 
     def to_csv(self, path) -> None:
         """Header row = y axis, first column = x axis, 9 significant digits."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("," + ",".join(f"{y:.9g}" for y in self.y_axis) + "\n")
-            for i, x in enumerate(self.x_axis):
-                row = ",".join(f"{v:.9g}" for v in self.values[i])
-                fh.write(f"{x:.9g}," + row + "\n")
+        header = (",{:.9g}" * self.y_axis.size).format(*self.y_axis.tolist())
+        write_columns(path, header, self.x_axis, self.values)
+
+
+def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
+    """A CSV of a header line, then x[i] and the row values[i] per line, 9 significant digits."""
+    columns = np.reshape(values, (len(x), -1)).T.tolist()
+    line = "{:.9g}" + ",{:.9g}" * len(columns) + "\n"
+    body = "".join(map(line.format, x.tolist(), *columns))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n" + body)
 
 
 def coherent_state(alpha: complex, n_max: int) -> FieldState:
@@ -165,34 +178,33 @@ def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
     return (2.0 ** 0.25) * psi * phases
 
 
-def _coherent_matrix(betas: np.ndarray, n_max: int) -> np.ndarray:
-    """Columns of coherent amplitudes c_m(beta) for a vector of betas."""
-    betas = np.asarray(betas, dtype=complex)
-    out = np.empty((n_max, betas.size), dtype=complex)
-    out[0] = np.exp(-0.5 * np.abs(betas) ** 2)
-    if n_max > 1:
-        # built in place: the rows below the first hold the steps
-        # beta / sqrt(m), then their running products, then c_m
-        steps = out[1:]
-        np.divide(betas[None, :], np.sqrt(np.arange(1.0, n_max))[:, None], out=steps)
-        np.cumprod(steps, axis=0, out=steps)
-        np.multiply(out[0][None, :], steps, out=steps)
-    return out
+def rank_cut(weights: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues above rounding: > n_max * eps * max(lambda_max, 0)."""
+    return weights > weights.size * np.finfo(float).eps * max(weights[-1], 0.0)
 
 
 def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
-    """Husimi function Q(x + iy) = <beta|rho|beta> / pi on a grid.
+    """Husimi function Q(x + iy) = <beta|rho|beta> / pi on a grid, at the rank of rho.
 
-    rho must be Hermitian with trace <= 1; for such inputs Q >= 0 and
-    sum(Q) dx dy approximates trace(rho).  Round-off negatives are clamped
-    to zero.
+    rho must be Hermitian positive semi-definite with trace <= 1; then Q >= 0
+    and sum(Q) dx dy approximates trace(rho).  A point so far out that its
+    Bargmann polynomial overflows raises NumericRangeError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    x_axis = np.asarray(x_axis, dtype=float)
-    y_axis = np.asarray(y_axis, dtype=float)
-    n_max = rho.shape[0]
-    betas = (x_axis[:, None] + 1j * y_axis[None, :]).ravel()
-    cmat = _coherent_matrix(betas, n_max)
-    vals = np.vecdot(cmat, rho @ cmat, axis=0).real / math.pi
-    vals = np.maximum(vals, 0.0).reshape(x_axis.size, y_axis.size)
-    return QGrid(x_axis=x_axis, y_axis=y_axis, values=vals)
+    x_axis, y_axis = np.asarray(x_axis, dtype=float), np.asarray(y_axis, dtype=float)
+    weights, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    keep = rank_cut(weights)
+    # coeffs[k, m] = sqrt(lambda_k) v_km / sqrt(m!)
+    inv_sqrt_fact = np.cumprod(np.r_[1.0, 1.0 / np.sqrt(np.arange(1.0, weights.size))])
+    coeffs = (vecs[:, keep] * np.sqrt(weights[keep])).T * inv_sqrt_fact
+    z = (x_axis[:, None] - 1j * y_axis[None, :]).ravel()  # conj(beta)
+    total = np.zeros(z.size)
+    for row in coeffs.tolist():  # row by row: a (points,) array stays in cache
+        poly = np.full(z.size, row[-1])
+        for a in reversed(row[:-1]):
+            np.multiply(poly, z, out=poly)
+            np.add(poly, a, out=poly)
+        total += poly.real ** 2 + poly.imag ** 2
+    vals = total * np.exp(-(z.real ** 2 + z.imag ** 2)) / math.pi
+    if not np.all(np.isfinite(vals)):
+        raise NumericRangeError("phase-space point too far out for the Bargmann polynomials")
+    return QGrid(x_axis=x_axis, y_axis=y_axis, values=vals.reshape(x_axis.size, y_axis.size))

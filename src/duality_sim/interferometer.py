@@ -39,7 +39,7 @@ import numpy as np
 from . import evolution
 from .errors import ConfigError, ImpossibleOutcomeError, NumericError, TruncationError
 from .evolution import InteractionParams
-from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors
+from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors, rank_cut
 
 LEVEL_INDEX = {"b": 0, "c": 1}
 SLIT_KICK = "slit"
@@ -401,7 +401,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ValueError("cannot trace a zero-norm state")
-    keep = weights > state.n_max * np.finfo(float).eps * weights[-1]
+    keep = rank_cut(weights)
     kept = float(np.sum(weights[keep]))
     discarded = float(np.sum(weights[~keep])) / total
     if discarded > tail_tol:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, UndefinedVisibilityError
+from .fock import write_columns
 from .interferometer import AtomDensity
 
 # kernel phase per unit flight time at unit spatial frequency
@@ -43,7 +44,6 @@ __all__ = [
     "free_propagate",
     "screen_distribution",
     "fringe_visibility",
-    "write_columns",
 ]
 
 
@@ -76,13 +76,6 @@ class ScreenPattern:
 
     def to_csv(self, path) -> None:
         write_columns(path, "x_lambda,intensity", self.x_axis, self.intensity)
-
-
-def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
-    """A CSV of a header line and two columns, 9 significant digits."""
-    body = "".join(map("{:.9g},{:.9g}\n".format, x.tolist(), values.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + body)
 
 
 def free_propagate(rho: AtomDensity, flight: FlightSpec,

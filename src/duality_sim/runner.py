@@ -18,12 +18,12 @@ import numpy as np
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
-from .fock import QGrid, QuadratureSpec, coherent_state, husimi_q
+from .fock import QGrid, QuadratureSpec, husimi_q, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, SlitGeometry,
                              build_initial, condition_on_quadrature, field_density,
                              interact, quadrature_pdf, trace_out_field)
 from .propagation import (FlightSpec, ScreenPattern, free_propagate, fringe_visibility,
-                          screen_distribution, write_columns)
+                          screen_distribution)
 
 DEFAULT_ALPHA = math.sqrt(8.0)
 DEFAULT_T_PRIME = 3.0
@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "SweepPoint",
+    "read_config",
     "load_config",
     "run",
     "most_probable_chi",
@@ -307,14 +308,19 @@ class ExperimentConfig:
                                  detuning_ratio=self.numeric.detuning_ratio)
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    return ExperimentConfig.from_dict(data)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(read_config(path))
 
 
 @dataclass(frozen=True)
@@ -469,7 +475,8 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     if level not in ("b", "c"):
         raise ConfigError("sweep level must be 'b' or 'c'")
     case = CaseSpec(c_up=1.0, c_down=0.0, phi=math.pi / 2.0 if level == "b" else 0.0)
-    alpha_vec = coherent_state(base.alpha, base.numeric.n_max).amps
+    # one more row and column through alpha: the overlap <alpha|rho|alpha> is pi Q(alpha)
+    x_axis, y_axis = np.append(QGRID_AXIS, base.alpha.real), np.append(QGRID_AXIS, base.alpha.imag)
     points = []
     for eps in epsilons:
         config = replace(base, stage=3, epsilon=eps, case=case)
@@ -478,12 +485,11 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
                               config.numeric.grid, config.numeric.n_max, tail_tol=tail_tol)
         state = interact(state, config.interaction_params(), mode=config.mode,
                          kick=config.kick, tail_tol=tail_tol)
-        rho_f = field_density(state)
-        ov = float(np.real(alpha_vec.conj() @ rho_f @ alpha_vec))
+        q = husimi_q(field_density(state), x_axis, y_axis).values
         points.append(SweepPoint(
             epsilon=float(eps),
-            qgrid=husimi_q(rho_f, QGRID_AXIS, QGRID_AXIS),
-            overlap_with_initial=ov,
+            qgrid=QGrid(x_axis=QGRID_AXIS, y_axis=QGRID_AXIS, values=q[:-1, :-1]),
+            overlap_with_initial=math.pi * float(q[-1, -1]),
         ))
     return points
 

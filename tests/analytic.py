@@ -68,3 +68,17 @@ def dense_rho(rho) -> np.ndarray:
     flat = rho.factors.reshape(-1, rho.rank)
     n = rho.grid.n_points
     return (flat @ flat.conj().T).reshape(n, 2, n, 2)
+
+
+def coherent_matrix(betas, n_max: int) -> np.ndarray:
+    """Columns c_m(beta) = exp(-|beta|^2/2) beta^m / sqrt(m!) for a vector of betas."""
+    betas = np.asarray(betas, dtype=complex)
+    steps = betas[None, :] / np.sqrt(np.arange(1.0, n_max))[:, None]
+    powers = np.vstack([np.ones_like(betas), np.cumprod(steps, axis=0)])
+    return np.exp(-0.5 * np.abs(betas) ** 2) * powers
+
+
+def dense_husimi(rho: np.ndarray, betas) -> np.ndarray:
+    """Q(beta) = c(beta)^dag rho c(beta) / pi from the dense coherent matrix."""
+    cmat = coherent_matrix(betas, rho.shape[0])
+    return np.sum(cmat.conj() * (rho @ cmat), axis=0).real / math.pi

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from analytic import quadrature_operator
+from analytic import dense_husimi, quadrature_operator
 from duality_sim.errors import NumericRangeError
-from duality_sim.fock import (FieldState, QuadratureSpec, coherent_state, husimi_q,
+from duality_sim.fock import (FieldState, QGrid, QuadratureSpec, coherent_state, husimi_q,
                               quadrature_projector, quadrature_projectors)
+from duality_sim.runner import QGRID_AXIS
 
 ALPHA = math.sqrt(8.0)
 
@@ -150,6 +152,64 @@ class TestHusimi:
         i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert abs(axis[i] + ALPHA) <= axis[1] - axis[0]
         assert abs(axis[j]) <= axis[1] - axis[0]
+
+    # |beta| <= 10 on every grid point; n_max = 1 leaves Horner no step
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(1, 96), rank_share=st.floats(0.0, 1.0),
+           trace=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           xs=st.lists(st.floats(-7.07, 7.07), min_size=1, max_size=12),
+           ys=st.lists(st.floats(-7.07, 7.07), min_size=1, max_size=12))
+    @example(n_max=1, rank_share=1.0, trace=0.5, seed=0, xs=[0.0, -7.07], ys=[7.07])
+    @example(n_max=96, rank_share=1.0, trace=1.0, seed=1, xs=[7.07, -7.07], ys=[7.07, 0.0])
+    def test_matches_dense_oracle(self, n_max, rank_share, trace, seed, xs, ys):
+        rank = 1 + round(rank_share * (n_max - 1))
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(n_max, rank)) + 1j * rng.normal(size=(n_max, rank))
+        rho = f @ f.conj().T
+        rho *= trace / np.trace(rho).real
+        grid = husimi_q(rho, xs, ys)
+        betas = (np.array(xs)[:, None] + 1j * np.array(ys)[None, :]).ravel()
+        oracle = dense_husimi(rho, betas).reshape(len(xs), len(ys))
+        assert np.max(np.abs(grid.values - oracle)) <= 1e-14
+        assert np.all(grid.values >= 0.0)
+
+    @pytest.mark.parametrize("n_max", [1, 96])
+    def test_zero_matrix_gives_zero(self, n_max):
+        grid = husimi_q(np.zeros((n_max, n_max)), QGRID_AXIS, QGRID_AXIS)
+        assert grid.values.shape == (QGRID_AXIS.size, QGRID_AXIS.size)
+        assert not grid.values.any()
+
+    def test_rank_two_field_allocates_no_grid_sized_matrix(self):
+        # a 96 x 19881 coherent matrix alone takes 29 MiB
+        plus, minus = coherent_state(ALPHA, 96).amps, coherent_state(-ALPHA, 96).amps
+        rho = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
+        tracemalloc.start()
+        try:
+            husimi_q(rho, QGRID_AXIS, QGRID_AXIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_point_raises(self):
+        # |300^95 / sqrt(95!)|^2 overflows, and exp(-300^2) underflows to 0
+        with pytest.raises(NumericRangeError):
+            husimi_q(np.eye(96) / 96, [300.0], [0.0])
+
+    def test_csv_bytes_match_per_cell_format(self, tmp_path):
+        # zeros, negative axis values and values down to the smallest subnormal
+        rng = np.random.default_rng(11)
+        x_axis = np.linspace(-7.0, 7.0, 141)
+        y_axis = np.linspace(-3.5, 0.0, 36)
+        values = rng.random((141, 36)) * 10.0 ** rng.integers(-300, 1, (141, 36))
+        values[::7] = 0.0
+        values[1, :3] = (1e-300, 5e-324, 1.0)
+        QGrid(x_axis, y_axis, values).to_csv(tmp_path / "qgrid.csv")
+        oracle = "," + ",".join(f"{y:.9g}" for y in y_axis) + "\n" + "".join(
+            f"{x:.9g}," + ",".join(f"{v:.9g}" for v in row) + "\n"
+            for x, row in zip(x_axis, values))
+        assert (tmp_path / "qgrid.csv").read_bytes() == oracle.encode("ascii")
 
 
 class TestOverlap:

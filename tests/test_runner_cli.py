@@ -160,6 +160,22 @@ class TestSweep:
         i, j = np.unravel_index(np.argmax(point.qgrid.values), point.qgrid.values.shape)
         assert abs(QGRID_AXIS[i] - ALPHA) <= 0.1 and abs(QGRID_AXIS[j]) <= 0.1
 
+    def test_overlap_and_grid_come_from_the_field_density(self, geometry):
+        from duality_sim.fock import coherent_state, husimi_q
+        from duality_sim.interferometer import (PreparationParams, build_initial,
+                                                field_density, interact)
+        from duality_sim.runner import QGRID_AXIS
+        base = small_config(stage=3, epsilon=3.0)
+        point = epsilon_sweep(base, [3.0], "b")[0]
+        state = build_initial(PreparationParams(1.0, 0.0, math.pi / 2.0), geometry, ALPHA,
+                              base.numeric.grid, base.numeric.n_max)
+        rho_f = field_density(interact(state, base.interaction_params()))
+        amps = coherent_state(ALPHA, base.numeric.n_max).amps
+        assert point.overlap_with_initial == pytest.approx(
+            float(np.real(amps.conj() @ rho_f @ amps)), abs=1e-14)
+        assert np.array_equal(point.qgrid.values,
+                              husimi_q(rho_f, QGRID_AXIS, QGRID_AXIS).values)
+
     def test_bad_level(self):
         with pytest.raises(ConfigError):
             epsilon_sweep(small_config(stage=3), [0.0], "a")
@@ -265,6 +281,37 @@ class TestCli:
         for name in cases:
             diagnostics = json.loads((out / name / "diagnostics.json").read_text())
             assert diagnostics["readout"]["kind"] == "quadrature"
+
+    @pytest.mark.parametrize("command", [
+        ["sphere", "--stage", "2"],
+        ["sweep-epsilon", "--level", "b", "--values", "0,5"],
+    ])
+    def test_base_config_without_stage_or_case(self, tmp_path, command):
+        # the erased-stage recipe: a readout and numerics, nothing else
+        readout = {"type": "quadrature", "theta": math.pi / 2, "chi": "most-probable"}
+        cfg = self.write_cfg(tmp_path, {"readout": readout, "numeric": SMALL_NUMERIC})
+        out = tmp_path / "out"
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 0
+        if command[0] == "sphere":
+            diagnostics = json.loads((out / "VDC" / "diagnostics.json").read_text())
+            assert diagnostics["readout"]["kind"] == "quadrature"
+        else:
+            assert len(json.loads((out / "summary.json").read_text())["points"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["sphere", "--stage", "1"],
+        ["sweep-epsilon", "--level", "b", "--values", "0"],
+    ])
+    @pytest.mark.parametrize("data", [
+        {"sigma": 0.1},
+        {"numeric": {"n_max": 0}},
+        {"readout": {"type": "quadrature", "phase": 0.0}},
+        {"stage": 7},
+        {"case": "XY"},
+    ])
+    def test_bad_base_config_exit_code(self, tmp_path, command, data):
+        cfg = self.write_cfg(tmp_path, data)
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
     def test_bad_sweep_values(self, tmp_path):
         assert main(["sweep-epsilon", "--level", "b", "--values", "a,b"]) == 2

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError
+from .runtime import one_blas_thread
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,12 +82,6 @@ class QGrid:
     x_axis: np.ndarray
     y_axis: np.ndarray
     values: np.ndarray
-
-    def integral(self) -> float:
-        """Sum(values) * dx * dy; approximates the trace of the sampled state."""
-        dx = float(self.x_axis[1] - self.x_axis[0])
-        dy = float(self.y_axis[1] - self.y_axis[0])
-        return float(np.sum(self.values)) * dx * dy
 
     def to_csv(self, path) -> None:
         """Header row = y axis, first column = x axis, 9 significant digits."""
@@ -183,6 +178,7 @@ def rank_cut(weights: np.ndarray) -> np.ndarray:
     return weights > weights.size * np.finfo(float).eps * max(weights[-1], 0.0)
 
 
+@one_blas_thread
 def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
     """Husimi function Q(x + iy) = <beta|rho|beta> / pi on a grid, at the rank of rho.
 

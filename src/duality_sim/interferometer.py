@@ -28,11 +28,9 @@ Readouts reduce the field:
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -40,6 +38,7 @@ from . import evolution
 from .errors import ConfigError, ImpossibleOutcomeError, NumericError, TruncationError
 from .evolution import InteractionParams
 from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors, rank_cut
+from .runtime import one_blas_thread
 
 LEVEL_INDEX = {"b": 0, "c": 1}
 SLIT_KICK = "slit"
@@ -59,44 +58,6 @@ __all__ = [
     "quadrature_pdf",
     "field_density",
 ]
-
-
-@functools.cache
-def _openblas_threads():
-    """Setter of numpy's bundled OpenBLAS thread count (returns the old count), or None."""
-    root = Path(np.__file__).resolve().parent
-    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
-        try:
-            setter = getattr(ctypes.CDLL(str(lib)), "openblas_set_num_threads_local", None)
-        except OSError:
-            continue
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-            return setter
-    return None
-
-
-def _one_blas_thread(func):
-    """Run func with numpy's OpenBLAS on one thread, then restore its count.
-
-    For the small products of a readout (the n_max x n_max Gram matrix, its
-    eigenproblem, rank-r factors).  Split over OpenBLAS workers they gain
-    little, and a worker then spins for about 0.1 s, which holds a second
-    core through a run and slows it to the pace of any other process that
-    wants that core.  The count is process-wide; without a bundled OpenBLAS
-    this does nothing.
-    """
-    @functools.wraps(func)
-    def limited(*args, **kwargs):
-        setter = _openblas_threads()
-        if setter is None:
-            return func(*args, **kwargs)
-        previous = setter(1)
-        try:
-            return func(*args, **kwargs)
-        finally:
-            setter(previous)
-    return limited
 
 
 @dataclass(frozen=True)
@@ -169,6 +130,8 @@ class JointState:
 
     amps covers the grid rows [start, stop); the state is zero on every
     other row.  start = 0 with one row per grid point is the full grid.
+    fock_tail is the initial coherent state's weight beyond the Fock
+    truncation, 1 - ||c||^2.  amps must not change once field_gram is read.
     """
 
     grid: GridSpec
@@ -176,6 +139,7 @@ class JointState:
     amps: np.ndarray
     start: int = 0
     diagnostics: InteractionDiagnostics = dataclass_field(default_factory=InteractionDiagnostics)
+    fock_tail: float = 0.0
 
     @property
     def n_max(self) -> int:
@@ -192,6 +156,21 @@ class JointState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx
+
+    @functools.cached_property
+    @one_blas_thread
+    def field_gram(self) -> np.ndarray:
+        """gram[m, n] = dx sum_g conj(amps[g, m]) amps[g, n], the transposed field density.
+
+        Summed from the first to the last nonzero row, so zero rows around the
+        window leave it unchanged bit for bit.
+        """
+        lo, hi = 0, self.amps.shape[0]
+        while lo < hi and not self.amps[lo].any():
+            lo += 1
+        while hi > lo and not self.amps[hi - 1].any():
+            hi -= 1
+        return _gram(self.amps[lo:hi].reshape(-1, self.n_max)) * self.grid.dx
 
 
 @dataclass(frozen=True)
@@ -225,7 +204,7 @@ class AtomDensity:
         edges = np.sum(np.abs(self.factors[[0, -1]]) ** 2, axis=2)
         return float(np.sum(edges)) * self.grid.dx
 
-    @_one_blas_thread
+    @one_blas_thread
     def purity(self) -> float:
         """trace(rho^2) via the rank x rank Gram matrix."""
         gram = _gram(self.factors.reshape(-1, self.rank)) * self.grid.dx
@@ -271,7 +250,7 @@ def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
     amps = np.empty((stop - start, 2, n_max), dtype=complex)
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
     amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
-    return JointState(grid=grid, geometry=geom, amps=amps, start=start)
+    return JointState(grid=grid, geometry=geom, amps=amps, start=start, fock_tail=missing)
 
 
 def _kick_positions(state: JointState, kick: str):
@@ -345,13 +324,8 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     out_b[:, :-1] += cross[:, 1:]
     if exact:
         leak = (leak + float(np.sum(leak_c * np.abs(in_c) ** 2))) * dx
-    return JointState(
-        grid=state.grid,
-        geometry=state.geometry,
-        amps=out,
-        start=state.start,
-        diagnostics=InteractionDiagnostics(leak=leak, truncation_loss=truncation_loss),
-    )
+    return replace(state, amps=out,
+                   diagnostics=InteractionDiagnostics(leak=leak, truncation_loss=truncation_loss))
 
 
 def _embed(state: JointState, window: np.ndarray) -> np.ndarray:
@@ -373,18 +347,7 @@ def _gram(flat: np.ndarray) -> np.ndarray:
     return real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
 
 
-def _field_gram(state: JointState):
-    """Fock slices of the state as columns, and their Gram matrix.
-
-    Returns (flat, gram) with flat of shape (rows * level, n_max) and
-    gram[m, n] = dx * sum_g conj(flat[g, m]) flat[g, n], the transpose of
-    the unnormalised field density operator.
-    """
-    flat = np.ascontiguousarray(state.amps.reshape(-1, state.n_max))
-    return flat, _gram(flat) * state.grid.dx
-
-
-@_one_blas_thread
+@one_blas_thread
 def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     """Partial trace over the field at its true rank, renormalised to unit trace.
 
@@ -395,8 +358,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     operator.  The weight of the dropped directions is reported as
     discarded_weight and raises NumericError above tail_tol.
     """
-    flat, gram = _field_gram(state)
-    weights, vecs = np.linalg.eigh(gram)
+    weights, vecs = np.linalg.eigh(state.field_gram)
     weights = np.clip(weights, 0.0, None)
     total = float(np.sum(weights))
     if total <= 0.0:
@@ -411,7 +373,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
         )
     # (V^T flat^T)^T rather than flat @ V: the short-and-wide product keeps
     # no large BLAS work buffers alive
-    columns = (vecs[:, keep] / math.sqrt(kept)).T @ flat.T
+    columns = (vecs[:, keep] / math.sqrt(kept)).T @ state.amps.reshape(-1, state.n_max).T
     factors = _embed(state, columns.T.reshape(state.amps.shape[0], 2, -1))
     return AtomDensity(grid=state.grid, factors=factors, discarded_weight=discarded)
 
@@ -435,17 +397,18 @@ def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
 
 
 def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
-    """Outcome densities for a sweep of quadrature eigenvalues."""
-    n_max = state.n_max
-    coeffs = quadrature_projectors(theta, chi_samples, n_max)
-    flat = state.amps.reshape(-1, n_max)
-    cond = flat @ coeffs.conj().T  # (rows*level, chi)
-    return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
+    """Outcome densities b_chi G b_chi^dag from the field Gram G, for a sweep of chi.
+
+    Below ~eps times the peak density the value is rounding, clipped at 0.
+    """
+    coeffs = quadrature_projectors(theta, chi_samples, state.n_max)
+    dens = np.sum((coeffs @ state.field_gram) * coeffs.conj(), axis=1).real
+    return np.maximum(dens, 0.0)
 
 
 def field_density(state: JointState) -> np.ndarray:
     """Field density operator after tracing the atom, unit trace."""
-    rho = _field_gram(state)[1].T  # rho[m, n] = dx sum_g amps_m conj(amps_n)
+    rho = state.field_gram.T  # rho[m, n] = dx sum_g amps_m conj(amps_n)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
         raise ValueError("cannot trace a zero-norm state")

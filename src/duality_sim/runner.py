@@ -18,12 +18,13 @@ import numpy as np
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
-from .fock import QGrid, QuadratureSpec, husimi_q, write_columns
+from .fock import QGrid, QuadratureSpec, husimi_q, quadrature_projectors, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, SlitGeometry,
                              build_initial, condition_on_quadrature, field_density,
                              interact, quadrature_pdf, trace_out_field)
 from .propagation import (FlightSpec, ScreenPattern, free_propagate, fringe_visibility,
                           screen_distribution)
+from .runtime import keep_freed_memory
 
 DEFAULT_ALPHA = math.sqrt(8.0)
 DEFAULT_T_PRIME = 3.0
@@ -365,6 +366,9 @@ def most_probable_chi(state: JointState, theta: float,
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
+    The scan reads the field Gram (quadrature_pdf); the search contracts the
+    joint state per outcome: on a flat peak it fixes chi only to ~sqrt of the
+    density's rounding, so the Gram's different rounding would move chi ~1e-8.
     """
     coarse = np.linspace(search[0], search[1], 281)
     dens = quadrature_pdf(state, theta, coarse)
@@ -373,7 +377,9 @@ def most_probable_chi(state: JointState, theta: float,
     hi = coarse[min(best + 1, coarse.size - 1)]
 
     def density_at(chi: float) -> float:
-        return float(quadrature_pdf(state, theta, np.array([chi]))[0])
+        coeffs = quadrature_projectors(theta, np.array([chi]), state.n_max)
+        cond = state.amps.reshape(-1, state.n_max) @ coeffs.conj().T
+        return float((np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx)[0])
 
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -401,6 +407,7 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
 
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment end to end."""
+    keep_freed_memory()
     prep = config.case.preparation()
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
     geom = SlitGeometry()
@@ -409,14 +416,16 @@ def run(config: ExperimentConfig) -> RunResult:
     state = build_initial(prep, geom, alpha, config.numeric.grid, config.numeric.n_max,
                           tail_tol=tail_tol)
     diagnostics = {"stage": config.stage, "initial_norm_sq": state.norm_sq(),
-                   "support_rows": [state.start, state.stop]}
+                   "initial_fock_tail": state.fock_tail, "support_rows": [state.start, state.stop]}
 
     if config.stage >= 2:
         state = interact(state, config.interaction_params(), mode=config.mode,
                          kick=config.kick, tail_tol=tail_tol)
         diagnostics["leak"] = state.diagnostics.leak
         diagnostics["truncation_loss"] = state.diagnostics.truncation_loss
-        diagnostics["post_interaction_norm_sq"] = state.norm_sq()
+        fixed_chi = config.readout.kind == "quadrature" and config.readout.chi is not None
+        diagnostics["post_interaction_norm_sq"] = (  # a fixed-chi readout reads no Gram
+            state.norm_sq() if fixed_chi else float(np.trace(state.field_gram).real))
 
     qgrid = None
     if config.emit_qgrid and config.stage >= 2:
@@ -474,6 +483,7 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     """
     if level not in ("b", "c"):
         raise ConfigError("sweep level must be 'b' or 'c'")
+    keep_freed_memory()
     case = CaseSpec(c_up=1.0, c_down=0.0, phi=math.pi / 2.0 if level == "b" else 0.0)
     # one more row and column through alpha: the overlap <alpha|rho|alpha> is pi Q(alpha)
     x_axis, y_axis = np.append(QGRID_AXIS, base.alpha.real), np.append(QGRID_AXIS, base.alpha.imag)

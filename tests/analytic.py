@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
+from duality_sim.fock import quadrature_projectors
 from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, fringe_visibility
 
 
@@ -82,3 +83,43 @@ def dense_husimi(rho: np.ndarray, betas) -> np.ndarray:
     """Q(beta) = c(beta)^dag rho c(beta) / pi from the dense coherent matrix."""
     cmat = coherent_matrix(betas, rho.shape[0])
     return np.sum(cmat.conj() * (rho @ cmat), axis=0).real / math.pi
+
+
+def uncached_field_gram(state) -> np.ndarray:
+    """dx sum_g conj(amps[g, m]) amps[g, n] as one plain complex product over every row."""
+    flat = state.amps.reshape(-1, state.n_max)
+    return (flat.conj().T @ flat) * state.grid.dx
+
+
+def joint_state_pdf(state, theta: float, chis) -> np.ndarray:
+    """Outcome densities contracted from the joint state: dx sum_g |<chi|psi_g>|^2."""
+    coeffs = quadrature_projectors(theta, chis, state.n_max)
+    cond = state.amps.reshape(-1, state.n_max) @ coeffs.conj().T
+    return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
+
+
+def golden_section_chi(state, theta: float, search=(-7.0, 7.0)) -> float:
+    """Most probable outcome from a 281-point scan and a golden-section search.
+
+    Both run on joint_state_pdf: the search as it ran before the scan read the field Gram.
+    """
+    coarse = np.linspace(search[0], search[1], 281)
+    best = int(np.argmax(joint_state_pdf(state, theta, coarse)))
+    a, b = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
+
+    def density_at(chi):
+        return float(joint_state_pdf(state, theta, np.array([chi]))[0])
+
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = density_at(c), density_at(d)
+    while b - a > 1e-10:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = density_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = density_at(d)
+    return 0.5 * (a + b)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from duality_sim.interferometer import LEVEL_INDEX, GridSpec, JointState, SlitGeometry, interact
+from duality_sim.runtime import openblas_threads
 
 ALPHA = math.sqrt(8.0)
 
@@ -22,6 +23,23 @@ def default_grid():
 @pytest.fixture(scope="session")
 def geometry():
     return SlitGeometry()
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads numpy's OpenBLAS thread count; sets it to 2 for the test."""
+    setter = openblas_threads()
+    if setter is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    original = setter(2)
+
+    def count():
+        current = setter(1)
+        setter(current)
+        return current
+
+    yield count
+    setter(original)
 
 
 # one-row states live on a grid with dx = 1, so a row's weight is its

@@ -142,7 +142,7 @@ class TestHusimi:
         cell = axis[1] - axis[0]
         assert abs(axis[i] - ALPHA) <= cell
         assert abs(axis[j]) <= cell
-        assert grid.integral() == pytest.approx(1.0, abs=1e-3)
+        assert np.sum(grid.values) * cell * cell == pytest.approx(1.0, abs=1e-3)
         assert np.all(grid.values >= 0.0)
 
     def test_pi_shifted_peak(self):
@@ -196,6 +196,25 @@ class TestHusimi:
         # |300^95 / sqrt(95!)|^2 overflows, and exp(-300^2) underflows to 0
         with pytest.raises(NumericRangeError):
             husimi_q(np.eye(96) / 96, [300.0], [0.0])
+
+    def test_eigenproblem_runs_on_one_blas_thread(self, monkeypatch, blas_threads):
+        seen, real_eigh = [], np.linalg.eigh
+
+        def eigh(*args, **kwargs):
+            seen.append(blas_threads())
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        amps = coherent_state(ALPHA, 96).amps
+        husimi_q(np.outer(amps, amps.conj()), QGRID_AXIS, QGRID_AXIS)
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_blas_thread_count_restored_when_husimi_raises(self, blas_threads):
+        with pytest.raises(NumericRangeError):
+            husimi_q(np.eye(96) / 96, [300.0], [0.0])
+        assert blas_threads() == 2
 
     def test_csv_bytes_match_per_cell_format(self, tmp_path):
         # zeros, negative axis values and values down to the smallest subnormal

@@ -157,23 +157,6 @@ class TestTraceOutField:
             trace_out_field(zero)
 
 
-@pytest.fixture
-def blas_threads():
-    """Reads numpy's OpenBLAS thread count; sets it to 2 for the test."""
-    setter = interferometer._openblas_threads()
-    if setter is None:
-        pytest.skip("numpy has no bundled OpenBLAS")
-    original = setter(2)
-
-    def count():
-        current = setter(1)
-        setter(current)
-        return current
-
-    yield count
-    setter(original)
-
-
 class TestReadoutBlasThreads:
     def test_trace_and_purity_use_one_thread(self, monkeypatch, blas_threads,
                                              default_grid, geometry):
@@ -193,6 +176,22 @@ class TestReadoutBlasThreads:
         rho = trace_out_field(build_initial(prep_v1(), geometry, ALPHA, default_grid, 48))
         rho.purity()
         assert seen == [("gram", 1), ("eigh", 1), ("gram", 1)]
+        assert blas_threads() == 2
+
+    def test_field_gram_is_computed_once_on_one_thread(self, monkeypatch, blas_threads,
+                                                       default_grid, geometry):
+        seen, real_gram = [], interferometer._gram
+
+        def gram(*args, **kwargs):
+            seen.append(blas_threads())
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(interferometer, "_gram", gram)
+        state = interact(build_initial(prep_v1(), geometry, ALPHA, default_grid, 48), PI_KICK)
+        field_density(state)
+        quadrature_pdf(state, 0.0, [-1.0, 1.0])
+        trace_out_field(state)
+        assert seen == [1]
         assert blas_threads() == 2
 
     def test_count_restored_when_trace_raises(self, blas_threads, default_grid, geometry):

@@ -1,5 +1,5 @@
-"""Property tests of the true-rank atom state, the de-duplicated kick and
-the support window.
+"""Property tests of the true-rank atom state, the de-duplicated kick, the
+support window and the field Gram.
 
 Random preparations (single packets included), coherent amplitudes, drives,
 interaction phases, both interaction maps and both kick policies, at the
@@ -15,16 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from analytic import golden_section_chi, joint_state_pdf, uncached_field_gram
 from conftest import SMALL_NUMERIC
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import QuadratureSpec, coherent_state
 from duality_sim.interferometer import (LEVEL_INDEX, AtomDensity, GridSpec, JointState,
                                         PreparationParams, SlitGeometry, _slit_profile,
-                                        build_initial, condition_on_quadrature, interact,
-                                        quadrature_pdf, trace_out_field)
+                                        build_initial, condition_on_quadrature, field_density,
+                                        interact, quadrature_pdf, trace_out_field)
 from duality_sim.propagation import FlightSpec, free_propagate, screen_distribution
-from duality_sim.runner import CHI_SEARCH_RANGE, most_probable_chi
+from duality_sim.runner import CHI_SEARCH_RANGE, ExperimentConfig, most_probable_chi
 
 TAIL_TOLERANCE = 1e-9
 GRID = GridSpec(**SMALL_NUMERIC["grid"])
@@ -204,3 +205,57 @@ def test_windowed_readouts_match_the_full_grid(case, theta):
     rho_full, density_full = condition_on_quadrature(oracle, spec)
     assert density == pytest.approx(density_full, rel=1e-14)
     assert np.max(np.abs(screen(rho)[1] - screen(rho_full)[1])) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(kicked_states())
+def test_field_readouts_match_the_uncached_gram(case):
+    state, params, mode, kick = case
+    state = interact(state, params, mode=mode, kick=kick, tail_tol=TAIL_TOLERANCE)
+    gram = uncached_field_gram(state)
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(state.field_gram - gram)) <= 1e-14 * scale
+    total = np.trace(gram).real
+    assert np.trace(state.field_gram).real == pytest.approx(state.norm_sq(), rel=1e-14)
+    assert np.max(np.abs(field_density(state) * total - gram.T)) <= 1e-14 * scale
+    # rho = L L^dag of the trace readout is flat flat^dag / total, on the window only
+    rho = trace_out_field(state, tail_tol=TAIL_TOLERANCE)
+    assert not rho.factors[:state.start].any() and not rho.factors[state.stop:].any()
+    window = rho.factors[state.start:state.stop].reshape(-1, rho.rank)
+    flat = state.amps.reshape(-1, state.n_max)
+    probe = np.random.default_rng(0).standard_normal((flat.shape[0], 2)) @ np.array([1.0, 1.0j])
+    applied = flat @ (flat.conj().T @ probe) / total
+    assert np.max(np.abs(window @ (window.conj().T @ probe) - applied)) <= 1e-12 * np.max(
+        np.abs(applied))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kicked_states(), st.floats(0.0, math.pi))
+def test_quadrature_pdf_from_the_gram_matches_the_joint_state(case, theta):
+    state, params, mode, kick = case
+    state = interact(state, params, mode=mode, kick=kick, tail_tol=TAIL_TOLERANCE)
+    chis = np.linspace(*CHI_SEARCH_RANGE, 281)
+    pdf, oracle = quadrature_pdf(state, theta, chis), joint_state_pdf(state, theta, chis)
+    # relative to the peak: in the far tails (densities of 1e-40) both are
+    # rounding, b G b^dag of order eps times the peak, so neither is a reference
+    assert np.max(np.abs(pdf - oracle)) <= 1e-13 * np.max(oracle)
+    assert np.all(pdf >= 0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(kicked_states(), st.floats(0.0, math.pi))
+@example(WEAK_KICK, 0.0)
+def test_most_probable_chi_is_the_joint_state_search(case, theta):
+    state, params, mode, _ = case
+    state = interact(state, params, mode=mode, kick="slit", tail_tol=TAIL_TOLERANCE)
+    assert most_probable_chi(state, theta) == golden_section_chi(state, theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_most_probable_chi_of_the_reference_configs(theta):
+    # the stage-2 VDC X and Y readouts that bench/reference.npz pins
+    config = ExperimentConfig.from_dict({"stage": 2, "case": "VDC"})
+    state = build_initial(config.case.preparation(), SlitGeometry(), config.alpha,
+                          config.numeric.grid, config.numeric.n_max)
+    state = interact(state, config.interaction_params())
+    assert most_probable_chi(state, theta) == golden_section_chi(state, theta)

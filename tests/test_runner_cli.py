@@ -1,13 +1,18 @@
+import ctypes
 import json
 import math
+import resource
 
 import numpy as np
 import pytest
 
 from analytic import visibility_or_zero
 from conftest import SMALL_NUMERIC
+from duality_sim import runner, runtime
 from duality_sim.cli import main
 from duality_sim.errors import ConfigError
+from duality_sim.fock import coherent_state
+from duality_sim.interferometer import build_initial, interact
 from duality_sim.runner import (ExperimentConfig, epsilon_sweep, load_config,
                                 most_probable_chi, run, sphere_suite)
 
@@ -100,6 +105,29 @@ class TestRun:
         assert payload["support_rows"] == [start, stop]
         assert payload["boundary_weight"] == result.diagnostics["boundary_weight"]
 
+    def test_diagnostics_report_the_initial_fock_tail(self, tmp_path):
+        numeric = {**SMALL_NUMERIC, "n_max": 20, "tail_tolerance": 1e-2}
+        result = run(small_config(stage=2, numeric=numeric))
+        tail = 1.0 - coherent_state(ALPHA, 20).norm_sq()
+        assert 1e-4 < tail < 1e-2
+        assert result.diagnostics["initial_fock_tail"] == tail
+        result.write(tmp_path)
+        assert json.loads((tmp_path / "diagnostics.json").read_text())["initial_fock_tail"] == tail
+        assert run(small_config()).diagnostics["initial_fock_tail"] == 0.0
+
+    @pytest.mark.parametrize("readout", [
+        "trace",
+        {"type": "quadrature", "theta": 0.0, "chi": "most-probable"},
+        {"type": "quadrature", "theta": 0.0, "chi": 1.0},
+    ])
+    def test_post_interaction_norm_is_the_state_norm(self, geometry, readout):
+        config = small_config(stage=3, epsilon=3.0, readout=readout)
+        state = build_initial(config.case.preparation(), geometry, config.alpha,
+                              config.numeric.grid, config.numeric.n_max)
+        state = interact(state, config.interaction_params())
+        assert run(config).diagnostics["post_interaction_norm_sq"] == pytest.approx(
+            state.norm_sq(), rel=1e-14)
+
     def test_two_column_files_match_per_line_format(self, tmp_path):
         result = run(small_config(stage=2, emit_quadrature_pdf=True))
         result.write(tmp_path)
@@ -137,6 +165,50 @@ class TestRun:
         b = most_probable_chi(state, math.pi / 2)
         assert a == b
         assert abs(a) < 1e-6
+
+
+class TestFreedMemory:
+    def test_run_and_sweep_keep_freed_memory(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "keep_freed_memory", lambda: calls.append(1))
+        run(small_config())
+        epsilon_sweep(small_config(stage=3), [0.0], "b")
+        assert calls == [1, 1]
+
+    def test_thresholds_are_set_once(self, monkeypatch):
+        calls, real_cdll = [], ctypes.CDLL
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = type("Libc", (), {"mallopt": staticmethod(mallopt)})()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **k:
+                            libc if name is None else real_cdll(name, *a, **k))
+        runtime.keep_freed_memory.cache_clear()
+        try:
+            runtime.keep_freed_memory()
+            runtime.keep_freed_memory()
+            assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+            libc = object()  # no mallopt: nothing to call, nothing raised
+            runtime.keep_freed_memory.cache_clear()
+            runtime.keep_freed_memory()
+        finally:
+            runtime.keep_freed_memory.cache_clear()
+
+    def test_freed_array_is_reused_without_page_faults(self):
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("no glibc mallopt")
+        runtime.keep_freed_memory()
+        # writing 16 MiB of fresh pages takes ~4096 minor faults (~500 with
+        # transparent huge pages); the second array reuses the first's pages
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            array = np.ones(2 << 20)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            del array
+        assert faults[1] < 64, faults
 
 
 class TestSweep:

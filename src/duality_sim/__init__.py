@@ -9,7 +9,7 @@ the atom freely to a screen, and relates the resulting patterns to the
 visibility / distinguishability / concurrence triple of the preparation.
 """
 
-from .duality import DualityMetrics, SphereCase, gamma_of_phi, metrics, sphere_case
+from .duality import DualityMetrics, gamma_of_phi, metrics, sphere_case
 from .errors import (ConfigError, GridError, ImpossibleOutcomeError, NumericError,
                      NumericRangeError, SimulationError, TruncationError,
                      UndefinedVisibilityError)
@@ -19,8 +19,8 @@ from .fock import (FieldState, QGrid, QuadratureSpec, coherent_state, husimi_q,
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,
                              SlitGeometry, build_initial, condition_on_quadrature,
                              field_density, interact, quadrature_pdf, trace_out_field)
-from .propagation import (DISPERSION_RATE, FlightSpec, ScreenPattern, free_propagate,
-                          fringe_visibility, screen_distribution)
+from .propagation import (DISPERSION_RATE, ScreenPattern, free_propagate, fringe_visibility,
+                          screen_distribution)
 from .runner import (ExperimentConfig, RunResult, epsilon_sweep, load_config,
                      most_probable_chi, run, sphere_suite)
 

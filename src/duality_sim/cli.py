@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, NumericError
@@ -92,11 +93,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _base_config(args: argparse.Namespace, stage: int) -> ExperimentConfig:
     # a base file may leave out stage and case; what it holds is checked as written
     data = {"stage": stage, "case": "V1", **(read_config(args.config) if args.config else {})}
-    data = ExperimentConfig.from_dict(data).to_dict()
-    data["stage"] = stage
-    if getattr(args, "alpha", None) is not None:
-        data["alpha"] = args.alpha
-    return ExperimentConfig.from_dict(data)
+    config = replace(ExperimentConfig.from_dict(data), stage=stage)
+    alpha = getattr(args, "alpha", None)
+    return config if alpha is None else replace(config, alpha=complex(alpha))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

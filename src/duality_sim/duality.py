@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["DualityMetrics", "SphereCase", "SPHERE_CASE_NAMES",
+__all__ = ["DualityMetrics", "SPHERE_CASE_NAMES",
            "metrics", "gamma_of_phi", "sphere_case"]
 
 
@@ -24,14 +24,6 @@ class DualityMetrics:
     @property
     def residual(self) -> float:
         return self.V0 ** 2 + self.D0 ** 2 + self.C0 ** 2 - 1.0
-
-
-@dataclass(frozen=True)
-class SphereCase:
-    name: str
-    c_up: float
-    c_down: float
-    phi: float
 
 
 def metrics(c_up: complex, c_down: complex, gamma: complex) -> DualityMetrics:
@@ -74,10 +66,9 @@ _SPHERE_TABLE = {
 SPHERE_CASE_NAMES = tuple(_SPHERE_TABLE)
 
 
-def sphere_case(name: str) -> SphereCase:
-    """Named preparation: V1/D1/C1 extremes and the VD/DC/CV/VDC balances."""
+def sphere_case(name: str) -> tuple[float, float, float]:
+    """(c_up, c_down, phi) of a named preparation: V1/D1/C1 extremes, VD/DC/CV/VDC balances."""
     try:
-        c_up, c_down, phi = _SPHERE_TABLE[name]
+        return _SPHERE_TABLE[name]
     except KeyError:
         raise ValueError(f"unknown sphere case {name!r}; choose from {SPHERE_CASE_NAMES}")
-    return SphereCase(name=name, c_up=c_up, c_down=c_down, phi=phi)

@@ -69,8 +69,8 @@ class GridSpec:
     n_points: int = 4096
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.n_points >= 16):
-            raise ConfigError("grid must have x_max > x_min and at least 16 points")
+        if not (-math.inf < self.x_min < self.x_max < math.inf and self.n_points >= 16):
+            raise ConfigError("grid must have finite x_min < x_max and at least 16 points")
 
     @property
     def dx(self) -> float:
@@ -106,15 +106,22 @@ class PreparationParams:
     """Path amplitudes and the internal-state mixing angle of the top path.
 
     The top path carries cos(phi)|c> + sin(phi)|b>, the bottom path |c>.
+    name is the sphere case these values come from, if any.
     """
 
     c_up: complex
     c_down: complex
     phi: float
+    name: str | None = None
 
     def __post_init__(self):
-        total = abs(self.c_up) ** 2 + abs(self.c_down) ** 2
-        if not abs(total - 1.0) <= 1e-12:
+        if not math.isfinite(self.phi):
+            raise ConfigError("phi must be finite")
+        try:
+            total = abs(self.c_up) ** 2 + abs(self.c_down) ** 2
+        except OverflowError:
+            total = math.inf
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigError(f"|c_up|^2 + |c_down|^2 must be 1, got {total!r}")
 
 
@@ -308,7 +315,7 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     np.multiply(stay, in_b, out=out_b)
     np.multiply(cross[:, :-1], in_b[:, :-1], out=out_c[:, 1:])
     truncation_loss = float(np.sum(np.abs(cross[:, -1] * in_b[:, -1]) ** 2)) * dx
-    if truncation_loss > tail_tol:
+    if not truncation_loss <= tail_tol:  # NaN fails too
         raise TruncationError(
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
@@ -366,7 +373,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     keep = rank_cut(weights)
     kept = float(np.sum(weights[keep]))
     discarded = float(np.sum(weights[~keep])) / total
-    if discarded > tail_tol:
+    if not discarded <= tail_tol:  # NaN fails too
         raise NumericError(
             f"the rank cut discarded {discarded:.3e} of the atomic trace "
             f"(tolerance {tail_tol:.1e})"
@@ -388,7 +395,7 @@ def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
     coeffs = quadrature_projector(spec, state.n_max)
     cond = state.amps @ coeffs.conj()  # (rows, level)
     density = float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
-    if density < 1e-300:
+    if not density >= 1e-300:  # NaN fails too
         raise ImpossibleOutcomeError(
             f"outcome chi={spec.chi:g} at theta={spec.theta:g} has vanishing density"
         )

@@ -39,28 +39,11 @@ __all__ = [
     "DISPERSION_RATE",
     "WAVELENGTH",
     "DEFAULT_VISIBILITY_WINDOW",
-    "FlightSpec",
     "ScreenPattern",
     "free_propagate",
     "screen_distribution",
     "fringe_visibility",
 ]
-
-
-@dataclass(frozen=True)
-class FlightSpec:
-    """Field-free flight of duration t_prime (dimensionless units)."""
-
-    t_prime: float = 3.0
-
-    def __post_init__(self):
-        if self.t_prime < 0.0:
-            raise ValueError("flight time must be non-negative")
-
-    @property
-    def tau(self) -> float:
-        """Kernel phase coefficient for this flight."""
-        return DISPERSION_RATE * self.t_prime
 
 
 @dataclass(frozen=True)
@@ -78,9 +61,9 @@ class ScreenPattern:
         write_columns(path, "x_lambda,intensity", self.x_axis, self.intensity)
 
 
-def free_propagate(rho: AtomDensity, flight: FlightSpec,
+def free_propagate(rho: AtomDensity, t_prime: float,
                    boundary_tol: float = 1e-6) -> AtomDensity:
-    """Evolve the atomic density operator through field-free flight.
+    """Evolve the atomic density operator through a field-free flight of duration t_prime.
 
     The kernel is unitary, so trace, Hermiticity and purity are preserved
     exactly; the boundary check guards against wrap-around of a state that
@@ -88,14 +71,14 @@ def free_propagate(rho: AtomDensity, flight: FlightSpec,
     """
     grid = rho.grid
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    kernel = np.exp(-1j * flight.tau * k * k)
+    kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
     spectra = np.fft.fft(rho.factors, axis=0)
     # in place, kernel first: with the operands swapped the complex
     # products round differently
     np.multiply(kernel[:, None, None], spectra, out=spectra)
     out = AtomDensity(grid=grid, factors=np.fft.ifft(spectra, axis=0, out=spectra))
     edge = out.boundary_weight()
-    if edge > boundary_tol:
+    if not edge <= boundary_tol:  # NaN fails too
         raise GridError(
             f"boundary probability {edge:.3e} exceeds {boundary_tol:.1e}; "
             "the grid is too small for this flight time"

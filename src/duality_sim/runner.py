@@ -4,13 +4,24 @@ A run executes build -> (interact) -> readout -> free flight -> screen
 pattern, and reports the preparation's duality triple next to the measured
 pattern.  Stage 1 is the bare double slit (no cavity), stage 2 adds the
 quantised mode, stage 3 adds the classical drive as well.
+
+The config schema is the dataclasses themselves: each field of
+ExperimentConfig, NumericSpec and GridSpec is a JSON key of the same name,
+with the field's default.  One reader and one writer walk those fields and
+coerce each value by its annotation: bool, int, float, complex (a number or
+[re, im]), str, or a nested spec.  Only case (a sphere-case name or an
+explicit PreparationParams object) and readout ("trace" or a quadrature
+object whose chi may be "most-probable") have forms of their own.  Each
+value is checked once, by the type that holds it, with ConfigError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+import typing
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +33,16 @@ from .fock import QGrid, QuadratureSpec, husimi_q, quadrature_projectors, write_
 from .interferometer import (GridSpec, JointState, PreparationParams, SlitGeometry,
                              build_initial, condition_on_quadrature, field_density,
                              interact, quadrature_pdf, trace_out_field)
-from .propagation import (FlightSpec, ScreenPattern, free_propagate, fringe_visibility,
-                          screen_distribution)
+from .propagation import ScreenPattern, free_propagate, fringe_visibility, screen_distribution
 from .runtime import keep_freed_memory
 
 DEFAULT_ALPHA = math.sqrt(8.0)
 DEFAULT_T_PRIME = 3.0
 CHI_SEARCH_RANGE = (-7.0, 7.0)
 QGRID_AXIS = np.linspace(-7.0, 7.0, 141)
+MOST_PROBABLE = "most-probable"
 
 __all__ = [
-    "CaseSpec",
     "ReadoutSpec",
     "NumericSpec",
     "ExperimentConfig",
@@ -47,39 +57,6 @@ __all__ = [
 ]
 
 
-def _as_complex(value, label: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label} must be a number or a [re, im] pair")
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_float(value[0], label), _as_float(value[1], label))
-    raise ConfigError(f"{label} must be a number or a [re, im] pair")
-
-
-def _as_float(value, label: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label} must be a number")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
-
-
-def _as_int(value, label: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{label} must be an integer, got {value!r}")
-
-
-def _as_bool(value, label: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{label} must be true or false, got {value!r}")
-    return value
-
-
 def _require(ok: bool, message: str) -> None:
     """Raise ConfigError unless ok; NaN comparisons are False, so NaN fails."""
     if not ok:
@@ -91,99 +68,22 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _num_json(z: complex):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
-
-
-def _check_keys(mapping: dict, allowed, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """Either a named sphere case or an explicit (c_up, c_down, phi)."""
-
-    name: str | None = None
-    c_up: complex = 1.0 / math.sqrt(2.0)
-    c_down: complex = 1.0 / math.sqrt(2.0)
-    phi: float = 0.0
-
-    def __post_init__(self):
-        _require(_finite(self.c_up) and _finite(self.c_down) and math.isfinite(self.phi),
-                 "case parameters must be finite")
-
-    @staticmethod
-    def from_value(value) -> "CaseSpec":
-        if isinstance(value, str):
-            try:
-                case = sphere_case(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            return CaseSpec(name=case.name, c_up=case.c_up, c_down=case.c_down, phi=case.phi)
-        if isinstance(value, dict):
-            _check_keys(value, {"c_up", "c_down", "phi"}, "case")
-            try:
-                return CaseSpec(
-                    name=None,
-                    c_up=_as_complex(value["c_up"], "c_up"),
-                    c_down=_as_complex(value["c_down"], "c_down"),
-                    phi=_as_float(value["phi"], "phi"),
-                )
-            except KeyError as missing:
-                raise ConfigError(f"explicit case needs c_up, c_down and phi ({missing} missing)")
-        raise ConfigError("case must be a sphere-case name or an explicit parameter object")
-
-    def to_json(self):
-        if self.name is not None:
-            return self.name
-        return {"c_up": _num_json(self.c_up), "c_down": _num_json(self.c_down), "phi": self.phi}
-
-    def preparation(self) -> PreparationParams:
-        return PreparationParams(c_up=self.c_up, c_down=self.c_down, phi=self.phi)
-
-
 @dataclass(frozen=True)
 class ReadoutSpec:
-    """Field readout: trace it out, or condition on a quadrature outcome."""
+    """Field readout: "trace" it out, or condition on a "quadrature" outcome.
 
-    kind: str = "trace"
+    chi None takes the most probable outcome.
+    """
+
+    type: str = "trace"
     theta: float = 0.0
-    chi: float | None = None  # None means take the most probable outcome
+    chi: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("trace", "quadrature"):
-            raise ConfigError("readout kind must be 'trace' or 'quadrature'")
+        _require(self.type in ("trace", "quadrature"),
+                 "readout type must be 'trace' or 'quadrature'")
         _require(math.isfinite(self.theta), "readout theta must be finite")
         _require(self.chi is None or math.isfinite(self.chi), "readout chi must be finite")
-
-    @staticmethod
-    def from_value(value) -> "ReadoutSpec":
-        if value == "trace":
-            return ReadoutSpec(kind="trace")
-        if isinstance(value, dict):
-            _check_keys(value, {"type", "theta", "chi"}, "readout")
-            if value.get("type") != "quadrature":
-                raise ConfigError("readout object must have type 'quadrature'")
-            chi = value.get("chi", "most-probable")
-            if chi == "most-probable":
-                chi_val = None
-            else:
-                chi_val = _as_float(chi, "readout chi")
-            return ReadoutSpec(kind="quadrature",
-                               theta=_as_float(value.get("theta", 0.0), "readout theta"),
-                               chi=chi_val)
-        raise ConfigError("readout must be 'trace' or a quadrature object")
-
-    def to_json(self):
-        if self.kind == "trace":
-            return "trace"
-        return {"type": "quadrature", "theta": self.theta,
-                "chi": "most-probable" if self.chi is None else self.chi}
 
 
 @dataclass(frozen=True)
@@ -196,51 +96,18 @@ class NumericSpec:
 
     def __post_init__(self):
         _require(self.n_max >= 1, "numeric.n_max must be at least 1")
-        for name in ("tail_tolerance", "boundary_tolerance", "detuning_ratio"):
-            value = getattr(self, name)
-            _require(0.0 < value < math.inf, f"numeric.{name} must be positive and finite")
-
-    @staticmethod
-    def from_value(value: dict) -> "NumericSpec":
-        _check_keys(value, {"n_max", "grid", "tail_tolerance", "boundary_tolerance",
-                            "detuning_ratio"}, "numeric")
-        grid_value = value.get("grid", {})
-        _check_keys(grid_value, {"x_min", "x_max", "n_points"}, "numeric.grid")
-        default_grid = GridSpec()
-        grid = GridSpec(
-            x_min=_as_float(grid_value.get("x_min", default_grid.x_min), "numeric.grid.x_min"),
-            x_max=_as_float(grid_value.get("x_max", default_grid.x_max), "numeric.grid.x_max"),
-            n_points=_as_int(grid_value.get("n_points", default_grid.n_points),
-                             "numeric.grid.n_points"),
-        )
-        return NumericSpec(
-            n_max=_as_int(value.get("n_max", 96), "numeric.n_max"),
-            grid=grid,
-            tail_tolerance=_as_float(value.get("tail_tolerance", 1e-9), "numeric.tail_tolerance"),
-            boundary_tolerance=_as_float(value.get("boundary_tolerance", 1e-6),
-                                         "numeric.boundary_tolerance"),
-            detuning_ratio=_as_float(value.get("detuning_ratio", 200.0), "numeric.detuning_ratio"),
-        )
-
-    def to_json(self):
-        return {
-            "n_max": self.n_max,
-            "grid": {"x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                     "n_points": self.grid.n_points},
-            "tail_tolerance": self.tail_tolerance,
-            "boundary_tolerance": self.boundary_tolerance,
-            "detuning_ratio": self.detuning_ratio,
-        }
-
-
-_TOP_LEVEL_KEYS = {"stage", "case", "alpha", "epsilon", "theta_int", "mode", "kick",
-                   "readout", "t_prime", "emit_qgrid", "emit_quadrature_pdf", "numeric"}
+        _require(0.0 < self.tail_tolerance < math.inf,
+                 "numeric.tail_tolerance must be positive and finite")
+        _require(0.0 < self.boundary_tolerance < math.inf,
+                 "numeric.boundary_tolerance must be positive and finite")
+        _require(0.0 < self.detuning_ratio < math.inf,
+                 "numeric.detuning_ratio must be positive and finite")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     stage: int
-    case: CaseSpec
+    case: PreparationParams
     alpha: complex = DEFAULT_ALPHA
     epsilon: complex = 0.0
     theta_int: float = math.pi
@@ -253,14 +120,11 @@ class ExperimentConfig:
     numeric: NumericSpec = dataclass_field(default_factory=NumericSpec)
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3):
-            raise ConfigError("stage must be 1, 2 or 3")
-        if self.mode not in ("dispersive", "exact"):
-            raise ConfigError("mode must be 'dispersive' or 'exact'")
-        if self.kick not in ("slit", "local"):
-            raise ConfigError("kick must be 'slit' or 'local'")
-        if self.stage == 2 and complex(self.epsilon) != 0.0:
-            raise ConfigError("stage 2 has no classical drive; epsilon must be 0")
+        _require(self.stage in (1, 2, 3), "stage must be 1, 2 or 3")
+        _require(self.mode in ("dispersive", "exact"), "mode must be 'dispersive' or 'exact'")
+        _require(self.kick in ("slit", "local"), "kick must be 'slit' or 'local'")
+        _require(self.stage != 2 or complex(self.epsilon) == 0.0,
+                 "stage 2 has no classical drive; epsilon must be 0")
         _require(_finite(self.alpha), "alpha must be finite")
         _require(_finite(self.epsilon), "epsilon must be finite")
         _require(0.0 < self.theta_int < math.inf, "theta_int must be positive and finite")
@@ -268,45 +132,114 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        _check_keys(data, _TOP_LEVEL_KEYS, "config")
-        if "stage" not in data or "case" not in data:
-            raise ConfigError("config requires at least 'stage' and 'case'")
-        return ExperimentConfig(
-            stage=_as_int(data["stage"], "stage"),
-            case=CaseSpec.from_value(data["case"]),
-            alpha=_as_complex(data.get("alpha", DEFAULT_ALPHA), "alpha"),
-            epsilon=_as_complex(data.get("epsilon", 0.0), "epsilon"),
-            theta_int=_as_float(data.get("theta_int", math.pi), "theta_int"),
-            mode=str(data.get("mode", "dispersive")),
-            kick=str(data.get("kick", "slit")),
-            readout=ReadoutSpec.from_value(data.get("readout", "trace")),
-            t_prime=_as_float(data.get("t_prime", DEFAULT_T_PRIME), "t_prime"),
-            emit_qgrid=_as_bool(data.get("emit_qgrid", False), "emit_qgrid"),
-            emit_quadrature_pdf=_as_bool(data.get("emit_quadrature_pdf", False),
-                                         "emit_quadrature_pdf"),
-            numeric=NumericSpec.from_value(data.get("numeric", {})),
-        )
+        return _read_fields(ExperimentConfig, data, "config")
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "case": self.case.to_json(),
-            "alpha": _num_json(self.alpha),
-            "epsilon": _num_json(self.epsilon),
-            "theta_int": self.theta_int,
-            "mode": self.mode,
-            "kick": self.kick,
-            "readout": self.readout.to_json(),
-            "t_prime": self.t_prime,
-            "emit_qgrid": self.emit_qgrid,
-            "emit_quadrature_pdf": self.emit_quadrature_pdf,
-            "numeric": self.numeric.to_json(),
-        }
+        return _write(ExperimentConfig, self)
 
     def interaction_params(self) -> InteractionParams:
         eps = 0.0 if self.stage == 2 else self.epsilon
         return InteractionParams(epsilon=eps, theta_int=self.theta_int,
                                  detuning_ratio=self.numeric.detuning_ratio)
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, type, required) per field of a config dataclass, resolved once per class.
+
+    A field annotated X | None is read as X; None stands for the key left out.
+    """
+    hints, schema = typing.get_type_hints(cls), []
+    for f in fields(cls):
+        kind, args = hints[f.name], typing.get_args(hints[f.name])
+        if type(None) in args:
+            (kind,) = (arg for arg in args if arg is not type(None))
+        schema.append((f.name, kind, f.default is MISSING and f.default_factory is MISSING))
+    return tuple(schema)
+
+
+def _read(kind, value, label: str):
+    """The JSON value as the annotated type kind; ConfigError if it is not one."""
+    if kind is PreparationParams:
+        return _read_case(value)
+    if kind is ReadoutSpec:
+        return _read_readout(value)
+    if kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, bool):
+        pass  # true and false are not numbers
+    elif kind is int:
+        if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+            return int(value)
+    elif kind is float or kind is complex:
+        try:
+            if kind is float:
+                return float(value)
+            if isinstance(value, (int, float, complex)):
+                return complex(value)
+            if isinstance(value, (list, tuple)) and len(value) == 2:
+                return complex(_read(float, value[0], label), _read(float, value[1], label))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
+            pass
+    else:
+        return _read_fields(kind, value, label)
+    pair = " or a [re, im] pair" if kind is complex else ""
+    raise ConfigError(f"{label} must be a {kind.__name__}{pair}, got {value!r}")
+
+
+def _read_fields(cls, data, where: str):
+    """An instance of the dataclass cls from a JSON object, field by field."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    schema = _schema(cls)
+    unknown = data.keys() - {name for name, _, _ in schema}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [name for name, _, required in schema if required and name not in data]
+    if missing:
+        raise ConfigError(f"{where} requires {missing}")
+    return cls(**{name: _read(kind, data[name], f"{where}.{name}")
+                  for name, kind, _ in schema if name in data})
+
+
+def _write(kind, value):
+    """The JSON form of a value of the annotated type kind, which _read reads back."""
+    if kind is complex:
+        z = complex(value)
+        return z.real if z.imag == 0.0 else [z.real, z.imag]
+    if kind in (bool, int, float, str):
+        return value
+    if kind is PreparationParams and value.name is not None:
+        return value.name
+    if kind is ReadoutSpec and value.type == "trace":
+        return "trace"
+    # a field holding None is left out: it reads back as its default
+    data = {name: _write(sub, getattr(value, name))
+            for name, sub, _ in _schema(kind) if getattr(value, name) is not None}
+    return {"chi": MOST_PROBABLE, **data} if kind is ReadoutSpec else data
+
+
+def _read_case(value) -> PreparationParams:
+    if isinstance(value, str):
+        try:
+            return PreparationParams(*sphere_case(value), name=value)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    # only a sphere case has a name; an explicit object gives the amplitudes
+    _require(isinstance(value, dict) and "name" not in value,
+             "case must be a sphere-case name or an explicit {c_up, c_down, phi} object")
+    return _read_fields(PreparationParams, value, "case")
+
+
+def _read_readout(value) -> ReadoutSpec:
+    if value == "trace":
+        return ReadoutSpec()
+    if isinstance(value, dict) and value.get("chi") == MOST_PROBABLE:
+        value = {key: item for key, item in value.items() if key != "chi"}
+    spec = _read_fields(ReadoutSpec, value, "readout")
+    _require(spec.type == "quadrature", "readout must be 'trace' or a quadrature object")
+    return spec
 
 
 def read_config(path) -> dict:
@@ -408,7 +341,7 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment end to end."""
     keep_freed_memory()
-    prep = config.case.preparation()
+    prep = config.case
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
     geom = SlitGeometry()
     alpha = 0.0 if config.stage == 1 else config.alpha
@@ -423,7 +356,7 @@ def run(config: ExperimentConfig) -> RunResult:
                          kick=config.kick, tail_tol=tail_tol)
         diagnostics["leak"] = state.diagnostics.leak
         diagnostics["truncation_loss"] = state.diagnostics.truncation_loss
-        fixed_chi = config.readout.kind == "quadrature" and config.readout.chi is not None
+        fixed_chi = config.readout.type == "quadrature" and config.readout.chi is not None
         diagnostics["post_interaction_norm_sq"] = (  # a fixed-chi readout reads no Gram
             state.norm_sq() if fixed_chi else float(np.trace(state.field_gram).real))
 
@@ -436,7 +369,7 @@ def run(config: ExperimentConfig) -> RunResult:
         chi_axis = np.linspace(CHI_SEARCH_RANGE[0], CHI_SEARCH_RANGE[1], 281)
         chi_pdf = quadrature_pdf(state, config.readout.theta, chi_axis)
 
-    if config.readout.kind == "quadrature" and config.stage >= 2:
+    if config.readout.type == "quadrature" and config.stage >= 2:
         chi = config.readout.chi
         if chi is None:
             chi = most_probable_chi(state, config.readout.theta)
@@ -451,8 +384,7 @@ def run(config: ExperimentConfig) -> RunResult:
     diagnostics["discarded_weight"] = rho.discarded_weight
 
     purity_before = rho.purity()
-    rho_screen = free_propagate(rho, FlightSpec(config.t_prime),
-                                boundary_tol=config.numeric.boundary_tolerance)
+    rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance)
     diagnostics["trace"] = rho_screen.trace()
     diagnostics["boundary_weight"] = rho_screen.boundary_weight()
     diagnostics["purity_before_flight"] = purity_before
@@ -484,14 +416,14 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     if level not in ("b", "c"):
         raise ConfigError("sweep level must be 'b' or 'c'")
     keep_freed_memory()
-    case = CaseSpec(c_up=1.0, c_down=0.0, phi=math.pi / 2.0 if level == "b" else 0.0)
+    case = PreparationParams(1.0, 0.0, math.pi / 2.0 if level == "b" else 0.0)
     # one more row and column through alpha: the overlap <alpha|rho|alpha> is pi Q(alpha)
     x_axis, y_axis = np.append(QGRID_AXIS, base.alpha.real), np.append(QGRID_AXIS, base.alpha.imag)
     points = []
     for eps in epsilons:
         config = replace(base, stage=3, epsilon=eps, case=case)
         tail_tol = config.numeric.tail_tolerance
-        state = build_initial(case.preparation(), SlitGeometry(), config.alpha,
+        state = build_initial(case, SlitGeometry(), config.alpha,
                               config.numeric.grid, config.numeric.n_max, tail_tol=tail_tol)
         state = interact(state, config.interaction_params(), mode=config.mode,
                          kick=config.kick, tail_tol=tail_tol)
@@ -509,13 +441,7 @@ def sphere_suite(t_prime: float, stage: int, alpha: complex, epsilon: complex,
     """Run all seven named sphere cases with shared numerics."""
     results = {}
     for name in SPHERE_CASE_NAMES:
-        seed = base.to_dict() if base is not None else {"stage": stage, "case": name}
-        seed.update({
-            "stage": stage,
-            "case": name,
-            "alpha": _num_json(alpha),
-            "epsilon": _num_json(epsilon if stage == 3 else 0.0),
-            "t_prime": float(t_prime),
-        })
-        results[name] = run(ExperimentConfig.from_dict(seed))
+        shared = dict(stage=stage, case=_read_case(name), alpha=complex(alpha),
+                      epsilon=complex(epsilon if stage == 3 else 0.0), t_prime=float(t_prime))
+        results[name] = run(ExperimentConfig(**shared) if base is None else replace(base, **shared))
     return results

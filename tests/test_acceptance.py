@@ -18,7 +18,7 @@ from duality_sim.fock import QuadratureSpec, coherent_state
 from duality_sim.interferometer import (GridSpec, PreparationParams, SlitGeometry,
                                         build_initial, condition_on_quadrature, interact,
                                         trace_out_field)
-from duality_sim.propagation import FlightSpec, free_propagate, screen_distribution
+from duality_sim.propagation import free_propagate, screen_distribution
 from duality_sim.runner import ExperimentConfig, epsilon_sweep, most_probable_chi, run
 
 ALPHA = math.sqrt(8.0)
@@ -192,7 +192,7 @@ def test_criterion_11_c1_robustness():
 
 def test_criterion_12_propagation_invariants(stage2_v1_state):
     rho = trace_out_field(stage2_v1_state)
-    out = free_propagate(rho, FlightSpec(3.0))
+    out = free_propagate(rho, 3.0)
     trace_drift = abs(out.trace() - 1.0)
     purity_drift = abs(out.purity() - rho.purity())
 
@@ -202,7 +202,7 @@ def test_criterion_12_propagation_invariants(stage2_v1_state):
     delta = 2.0 * width / (n - 1)
     grid = GridSpec(geom.midpoint - width, geom.midpoint + width + delta, n)
     sym = build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), geom, 0.0, grid, 4)
-    pattern = screen_distribution(free_propagate(trace_out_field(sym), FlightSpec(3.0)))
+    pattern = screen_distribution(free_propagate(trace_out_field(sym), 3.0))
     asym = float(np.max(np.abs(pattern.intensity - pattern.intensity[::-1])))
 
     ok = trace_drift < 1e-12 and purity_drift < 1e-10 and asym < 1e-8

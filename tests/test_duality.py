@@ -43,8 +43,8 @@ def test_invalid_inputs():
 
 
 def case_metrics(name):
-    case = sphere_case(name)
-    return metrics(case.c_up, case.c_down, gamma_of_phi(case.phi))
+    c_up, c_down, phi = sphere_case(name)
+    return metrics(c_up, c_down, gamma_of_phi(phi))
 
 
 @pytest.mark.parametrize("name,expected", [

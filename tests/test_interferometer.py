@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,12 @@ class TestConditioning:
         # far enough out that the outcome density underflows the 1e-300 floor
         with pytest.raises(ImpossibleOutcomeError):
             condition_on_quadrature(kicked, QuadratureSpec(0.0, -26.0))
+
+    def test_nan_outcome_density_is_impossible(self, kicked):
+        amps = kicked.amps.copy()
+        amps[0] = np.nan
+        with pytest.raises(ImpossibleOutcomeError):
+            condition_on_quadrature(replace(kicked, amps=amps), QuadratureSpec(0.0, 1.0))
 
     def test_decomposition_consistency(self, geometry):
         # integrating outcome-weighted conditional projectors over chi

@@ -12,7 +12,7 @@ from duality_sim.fock import QuadratureSpec
 from duality_sim.interferometer import (AtomDensity, GridSpec, PreparationParams,
                                         SlitGeometry, build_initial, condition_on_quadrature,
                                         interact, trace_out_field)
-from duality_sim.propagation import (WAVELENGTH, FlightSpec, ScreenPattern,
+from duality_sim.propagation import (DISPERSION_RATE, WAVELENGTH, ScreenPattern,
                                      free_propagate, fringe_visibility,
                                      screen_distribution)
 
@@ -23,7 +23,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def single_packet_density(default_grid, geometry, t_prime):
     prep = PreparationParams(1.0, 0.0, 0.0)
     rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
-    out = free_propagate(rho, FlightSpec(t_prime))
+    out = free_propagate(rho, t_prime)
     return out, out.diagonal().sum(axis=1)
 
 
@@ -31,7 +31,7 @@ class TestFreePropagate:
     def test_zero_time_is_identity(self, default_grid, geometry):
         rho = trace_out_field(build_initial(
             PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), geometry, 0.0, default_grid, 4))
-        out = free_propagate(rho, FlightSpec(0.0))
+        out = free_propagate(rho, 0.0)
         assert np.max(np.abs(out.factors - rho.factors)) < 1e-14
 
     @pytest.mark.parametrize("t_prime", [0.5, 1.0, 3.0])
@@ -50,7 +50,7 @@ class TestFreePropagate:
                           geometry, ALPHA, default_grid, 96),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
         rho = trace_out_field(state)
-        out = free_propagate(rho, FlightSpec(3.0))
+        out = free_propagate(rho, 3.0)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert abs(out.purity() - rho.purity()) < 1e-10
 
@@ -60,10 +60,10 @@ class TestFreePropagate:
                           geometry, ALPHA, default_grid, 48),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
         rho = trace_out_field(state)
-        flight = FlightSpec(12.0)  # long enough to put weight on the grid edge
+        flight = 12.0  # long enough to put weight on the grid edge
         out = free_propagate(rho, flight, boundary_tol=math.inf)
         k = 2.0 * math.pi * np.fft.fftfreq(default_grid.n_points, d=default_grid.dx)
-        kernel = np.exp(-1j * flight.tau * k * k)
+        kernel = np.exp(-1j * (DISPERSION_RATE * flight) * k * k)
         factors = np.fft.ifft(kernel[:, None, None] * np.fft.fft(rho.factors, axis=0), axis=0)
         assert np.array_equal(out.factors, factors)
         full = AtomDensity(grid=default_grid, factors=factors)
@@ -75,7 +75,13 @@ class TestFreePropagate:
         rho = trace_out_field(build_initial(
             PreparationParams(1.0, 0.0, 0.0), geometry, 0.0, default_grid, 4))
         with pytest.raises(GridError):
-            free_propagate(rho, FlightSpec(30.0))
+            free_propagate(rho, 30.0)
+
+    def test_nan_boundary_weight_raises(self, default_grid):
+        rho = AtomDensity(grid=default_grid, factors=np.full((default_grid.n_points, 2, 1), np.nan,
+                                                             dtype=complex))
+        with pytest.raises(GridError):
+            free_propagate(rho, 1.0)
 
     def test_propagate_then_trace_equals_trace_then_propagate(self, geometry):
         # conjugating the traced state is the same as evolving every Fock
@@ -85,11 +91,11 @@ class TestFreePropagate:
             build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
                           geometry, 1.0, grid, 24),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
-        flight = FlightSpec(1.0)
+        flight = 1.0
         pat_a = screen_distribution(free_propagate(trace_out_field(state), flight))
 
         k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-        kernel = np.exp(-1j * flight.tau * k * k)
+        kernel = np.exp(-1j * (DISPERSION_RATE * flight) * k * k)
         amps = np.zeros((grid.n_points,) + state.amps.shape[1:], dtype=complex)
         amps[state.start:state.stop] = state.amps
         evolved = np.fft.ifft(kernel[:, None, None] * np.fft.fft(amps, axis=0), axis=0)
@@ -109,7 +115,7 @@ class TestScreenDistribution:
     def test_two_slit_oracle(self, default_grid, geometry):
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
         rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
-        pattern = screen_distribution(free_propagate(rho, FlightSpec(3.0)))
+        pattern = screen_distribution(free_propagate(rho, 3.0))
         oracle = two_slit_intensity(default_grid, (geometry.x_top, geometry.x_bottom),
                                     (INV_SQRT2, INV_SQRT2), geometry.sigma, 3.0)
         err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
@@ -124,7 +130,7 @@ class TestScreenDistribution:
         grid = GridSpec(mid - width, mid + width + delta, n)
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
         rho = trace_out_field(build_initial(prep, geometry, 0.0, grid, 4))
-        pattern = screen_distribution(free_propagate(rho, FlightSpec(3.0)))
+        pattern = screen_distribution(free_propagate(rho, 3.0))
         assert np.max(np.abs(pattern.intensity - pattern.intensity[::-1])) < 1e-8
 
     def test_csv_bytes_match_per_line_format(self, tmp_path):
@@ -155,7 +161,7 @@ def test_fresnel_oracle_for_weighted_superpositions(w, rel_phase, t_prime):
     weights = (math.sqrt(w), math.sqrt(1.0 - w) * np.exp(1j * rel_phase))
     prep = PreparationParams(weights[0], weights[1], 0.0)
     rho = trace_out_field(build_initial(prep, geometry, 0.0, grid, 4))
-    pattern = screen_distribution(free_propagate(rho, FlightSpec(t_prime)))
+    pattern = screen_distribution(free_propagate(rho, t_prime))
     oracle = two_slit_intensity(grid, (geometry.x_top, geometry.x_bottom),
                                 weights, geometry.sigma, t_prime)
     err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
@@ -166,7 +172,7 @@ def test_fresnel_oracle_for_weighted_superpositions(w, rel_phase, t_prime):
 def fringed(default_grid, geometry):
     prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
     rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
-    return screen_distribution(free_propagate(rho, FlightSpec(3.0)))
+    return screen_distribution(free_propagate(rho, 3.0))
 
 
 class TestFringeVisibility:
@@ -193,5 +199,5 @@ class TestFringeVisibility:
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
         state = interact(build_initial(prep, geometry, 1.0, default_grid, 48),
                          InteractionParams(epsilon=0.0, theta_int=math.pi))
-        pattern = screen_distribution(free_propagate(trace_out_field(state), FlightSpec(3.0)))
+        pattern = screen_distribution(free_propagate(trace_out_field(state), 3.0))
         assert fringe_visibility(pattern) == pytest.approx(math.exp(-2.0), abs=0.02)

@@ -24,7 +24,7 @@ from duality_sim.interferometer import (LEVEL_INDEX, AtomDensity, GridSpec, Join
                                         PreparationParams, SlitGeometry, _slit_profile,
                                         build_initial, condition_on_quadrature, field_density,
                                         interact, quadrature_pdf, trace_out_field)
-from duality_sim.propagation import FlightSpec, free_propagate, screen_distribution
+from duality_sim.propagation import free_propagate, screen_distribution
 from duality_sim.runner import CHI_SEARCH_RANGE, ExperimentConfig, most_probable_chi
 
 TAIL_TOLERANCE = 1e-9
@@ -80,7 +80,7 @@ def interact_at_every_point(state, params, mode, kick):
 
 
 def screen(rho):
-    flown = free_propagate(rho, FlightSpec(1.0), boundary_tol=math.inf)
+    flown = free_propagate(rho, 1.0, boundary_tol=math.inf)
     return flown, screen_distribution(flown).intensity
 
 
@@ -255,7 +255,7 @@ def test_most_probable_chi_is_the_joint_state_search(case, theta):
 def test_most_probable_chi_of_the_reference_configs(theta):
     # the stage-2 VDC X and Y readouts that bench/reference.npz pins
     config = ExperimentConfig.from_dict({"stage": 2, "case": "VDC"})
-    state = build_initial(config.case.preparation(), SlitGeometry(), config.alpha,
+    state = build_initial(config.case, SlitGeometry(), config.alpha,
                           config.numeric.grid, config.numeric.n_max)
     state = interact(state, config.interaction_params())
     assert most_probable_chi(state, theta) == golden_section_chi(state, theta)

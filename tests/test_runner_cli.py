@@ -122,7 +122,7 @@ class TestRun:
     ])
     def test_post_interaction_norm_is_the_state_norm(self, geometry, readout):
         config = small_config(stage=3, epsilon=3.0, readout=readout)
-        state = build_initial(config.case.preparation(), geometry, config.alpha,
+        state = build_initial(config.case, geometry, config.alpha,
                               config.numeric.grid, config.numeric.n_max)
         state = interact(state, config.interaction_params())
         assert run(config).diagnostics["post_interaction_norm_sq"] == pytest.approx(
@@ -402,6 +402,10 @@ class TestCli:
         {"case": {"c_up": math.nan, "c_down": 1.0, "phi": 0.0}},
         {"numeric": {"tail_tolerance": -1.0}},
         {"numeric": 5},
+        {"case": {"c_up": 1e200, "c_down": 0, "phi": 0}},
+        {"case": {"c_up": 1.0, "c_down": 0.0, "phi": 0.0, "name": "V1"}},
+        {"alpha": 10 ** 400},
+        {"numeric": {"grid": {"x_max": math.inf}}},
     ])
     def test_bad_value_exit_code(self, tmp_path, overrides):
         data = {"stage": 2, "case": "V1", **overrides}
@@ -416,6 +420,21 @@ class TestCli:
         data = {"stage": 2, "case": "V1", **overrides}
         cfg = self.write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("overrides", [
+        {"epsilon": 1e200},
+        {"mode": "exact", "numeric": {"detuning_ratio": 1e300}},
+        {"mode": "exact", "numeric": {"detuning_ratio": 1e300},
+         "readout": {"type": "quadrature", "theta": 0.0, "chi": 1.0}},
+        {"mode": "exact", "numeric": {"detuning_ratio": 1e300},
+         "readout": {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}},
+    ])
+    def test_out_of_range_interaction_exit_code(self, tmp_path, overrides):
+        # |epsilon|^2 overflows, or the exact multipliers come out NaN
+        data = {"stage": 3, "case": "V1", **overrides}
+        cfg = self.write_cfg(tmp_path, data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert not (tmp_path / "x").exists()
 
     def test_integral_float_stage_accepted(self):
         assert small_config(stage=2.0).stage == 2

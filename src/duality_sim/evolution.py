@@ -9,23 +9,22 @@ k_c = 1 and k_q = 3, so the modes share the antinode at x = 0 and the
 node at x = pi/2 (a quarter classical wavelength).
 
 Both detunings are equal and large, so |a> is only virtually populated.
-In that regime the propagator restricted to {b, c} acts per Fock index m:
-the input level keeps its photon number and acquires a phase, while the
-cross branch exchanges one photon with the quantum mode (m -> m+1 from
-|b>, m -> m-1 from |c>).  With
-
-    A = cos^2(3x) * n_eff             (n_eff = m+1 from |b>, m from |c>)
-    B = cos^2(x) |eps|^2
-    theta = Theta * (A + B),          Theta = g^2 t / Delta
-
-the dispersive multipliers on the input amplitude c_m are
+The drive couples b-a and the quantum mode a-c, so the map on {b, c} is
+closed on the invariant pairs |b, k-1> <-> |c, k>, k = 0 .. n_max (|c, 0>
+alone).  Both members of pair k see A = cos^2(3x) k and B = cos^2(x) |eps|^2,
+so the map is evaluated once per pair and read off for both levels: |b, m>
+at k = m+1, |c, m> at k = m.  With theta = Theta (A + B), Theta = g^2 t / Delta,
+the input amplitude keeps its level and photon number times
 
     stay  = 1 + numer * (e^{i theta} - 1) / (A + B)
-    cross = cos(3x) cos(x) eps^(*) sqrt(n_eff) (e^{i theta} - 1) / (A + B)
 
-with numer = B from |b> and numer = A from |c>.  Per m this map is exactly
-unitary on the two-level subspace: |stay|^2 + |cross|^2 = 1.  At a common
-node A = B = 0 and the map is the identity.
+and crosses the pair (|b, m> -> |c, m+1>, |c, m> -> |b, m-1>) times
+
+    cross = cos(3x) cos(x) eps^(*) sqrt(k) (e^{i theta} - 1) / (A + B)
+
+with numer = B and eps from |b>, numer = A and eps^* from |c>.  Per pair the
+map is exactly unitary, |stay|^2 + |cross|^2 = 1; at a common node A = B = 0
+and it is the identity.
 
 The exact (finite-detuning) multipliers replace e^{i theta} - 1 by
 
@@ -34,6 +33,8 @@ The exact (finite-detuning) multipliers replace e^{i theta} - 1 by
 
 with the coupling time g t = Theta * Delta / g, so both maps share Theta,
 and leave a small population in |a> reported as a leak instead of a state.
+The largest phase, Theta (A + B) or g t sqrt(mu), must stay within
+PHASE_LIMIT, or NumericRangeError is raised before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ import numpy as np
 
 from .errors import NumericRangeError
 
-LEVELS = ("b", "c")
-
 # A + B values below this floor are float residue of node positions
 # (cos(pi/2) is ~6e-17, not 0); the map there is the identity, as at an
 # exact node.  The implied phase bound is theta_int * 1e-28.
 DEGENERACY_FLOOR = 1e-28
 
-__all__ = ["LEVELS", "InteractionParams", "branch_multipliers"]
+# Largest phase (rad) evaluated: its rounding error, phase * eps, is sqrt(eps)
+# there.  Far beyond, phases are rounding noise (and an infinite one gives NaN).
+PHASE_LIMIT = 2.0 ** 26
+
+__all__ = ["InteractionParams", "branch_multipliers"]
 
 
 @dataclass(frozen=True)
@@ -71,57 +74,55 @@ class InteractionParams:
     detuning_ratio: float = 200.0
 
 
-def _level_arrays(level_in, x, params, n_max):
-    """Shared geometry/photon-number pieces, broadcast over x."""
-    if level_in not in LEVELS:
-        raise ValueError(f"unknown input level {level_in!r}")
+def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersive"):
+    """{"b": (stay, cross, leak), "c": (stay, cross, leak)}, each of shape(x) + (n_max,).
+
+    stay[m] scales the amplitude that keeps its level and photon number,
+    cross[m] the one moving |b, m> -> |c, m+1> or |c, m> -> |b, m-1>; leak is
+    the |a> population per unit input weight, None in dispersive mode.
+    """
+    if mode not in ("dispersive", "exact"):
+        raise ValueError(f"unknown interaction mode {mode!r}")
+    exact = mode == "exact"
     x = np.asarray(x, dtype=float)
     cq = np.cos(3.0 * x)[..., None]
     cc = np.cos(x)[..., None]
-    m = np.arange(n_max, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)  # pair index: photons in its |c> member
     eps = complex(params.epsilon)
     try:
         drive = cc * cc * abs(eps) ** 2
     except OverflowError:
         raise NumericRangeError(f"|epsilon|^2 leaves the float range (epsilon = {eps})")
-    if level_in == "b":
-        n_eff = m + 1.0
-        cross_amp = cq * cc * eps * np.sqrt(m + 1.0)
-    else:
-        n_eff = m
-        cross_amp = cq * cc * np.conj(eps) * np.sqrt(m)
-    photon = cq * cq * n_eff
-    return drive, photon, cross_amp
-
-
-def branch_multipliers(level_in, x, params: InteractionParams, n_max: int, mode="dispersive"):
-    """Per-Fock-index multipliers (stay, cross, leak) at the given positions.
-
-    stay[m] scales the amplitude that keeps the input level and photon
-    number; cross[m] scales the amplitude moving to |m+1> (from |b>) or
-    |m-1> (from |c>).  leak is the |a>-population fraction per unit input
-    weight, zero identically in dispersive mode.  x may be a scalar or an
-    array; outputs broadcast to shape(x) + (n_max,).
-    """
-    drive, photon, cross_amp = _level_arrays(level_in, x, params, n_max)
+    photon = cq * cq * k
     total = drive + photon
+    d = params.detuning_ratio
+    gt = params.theta_int * d
+    largest = float(np.max(total, initial=0.0))
+    # sqrt(mu) >= Delta / 2, so g t sqrt(mu) also bounds the phase Delta g t / 2
+    phase = gt * math.sqrt(largest + 0.25 * d * d) if exact else params.theta_int * largest
+    if not phase <= PHASE_LIMIT:  # NaN fails too
+        raise NumericRangeError(
+            f"the interaction phase {'g t sqrt(mu)' if exact else 'theta_int (A + B)'} "
+            f"reaches {phase:.3e} rad, beyond the limit of {PHASE_LIMIT:.3e} rad")
     degenerate = total <= DEGENERACY_FLOOR
     safe = np.where(degenerate, 1.0, total)
-    if mode == "dispersive":
-        ring = np.exp(1j * params.theta_int * total) - 1.0
-        leak = np.zeros_like(total)
-    elif mode == "exact":
-        d = params.detuning_ratio
-        gt = params.theta_int * d
+    sinc = None
+    if exact:
         mu = total + 0.25 * d * d
         arg = gt * np.sqrt(mu)
         sinc = np.sin(arg) / np.sqrt(mu)
         ring = np.exp(-0.5j * d * gt) * (np.cos(arg) + 0.5j * d * sinc) - 1.0
-        seed = drive if level_in == "b" else photon
-        leak = np.where(degenerate, 0.0, seed * sinc * sinc)
     else:
-        raise ValueError(f"unknown interaction mode {mode!r}")
-    numer = drive if level_in == "b" else photon
-    stay = np.where(degenerate, 1.0 + 0.0j, 1.0 + numer * ring / safe)
-    cross = np.where(degenerate, 0.0 + 0.0j, cross_amp * ring / safe)
-    return stay, cross, leak
+        ring = np.exp(1j * params.theta_int * total) - 1.0
+
+    def level(pairs, numer, amp):
+        off, ring_k, safe_k = degenerate[..., pairs], ring[..., pairs], safe[..., pairs]
+        stay = np.where(off, 1.0 + 0.0j, 1.0 + numer * ring_k / safe_k)
+        cross = np.where(off, 0.0 + 0.0j, cq * cc * amp * np.sqrt(k[pairs]) * ring_k / safe_k)
+        if sinc is None:
+            return stay, cross, None
+        return stay, cross, np.where(off, 0.0, numer * sinc[..., pairs] * sinc[..., pairs])
+
+    # |b, m> reads pair k = m+1, |c, m> pair k = m
+    return {"b": level(slice(1, None), drive, eps),
+            "c": level(slice(None, -1), photon[..., :-1], np.conj(eps))}

@@ -111,7 +111,10 @@ def coherent_state(alpha: complex, n_max: int) -> FieldState:
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("coherent amplitude must be finite")
     amps = np.empty(n_max, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    # the clip keeps |alpha|^2 finite and changes nothing: exp underflows from |alpha| ~ 39
+    amps[0] = math.exp(-0.5 * min(abs(alpha), 1e154) ** 2)
+    if amps[0] == 0.0:
+        raise NumericRangeError(f"exp(-|alpha|^2 / 2) underflows to 0 (alpha = {alpha})")
     if n_max > 1:
         # c_m = c_{m-1} * alpha / sqrt(m); stable for any |alpha| the
         # truncation can represent.
@@ -133,8 +136,8 @@ def hermite_oscillator_functions(u, n_max: int) -> np.ndarray:
     Returns shape (n_max,) + shape(u).
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise NumericRangeError("quadrature argument must be finite")
+    if not np.all(np.abs(u) < 1e154):  # NaN fails too; u * u stays finite
+        raise NumericRangeError("quadrature argument must be finite and below 1e154")
     out = np.zeros((n_max,) + u.shape, dtype=float)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
     if n_max > 1:

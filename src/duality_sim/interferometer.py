@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import evolution
-from .errors import ConfigError, ImpossibleOutcomeError, NumericError, TruncationError
+from .errors import ConfigError, ImpossibleOutcomeError, NumericError, NumericRangeError, TruncationError
 from .evolution import InteractionParams
 from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors, rank_cut
 from .runtime import one_blas_thread
@@ -50,7 +50,6 @@ __all__ = [
     "PreparationParams",
     "JointState",
     "AtomDensity",
-    "InteractionDiagnostics",
     "build_initial",
     "interact",
     "trace_out_field",
@@ -126,27 +125,23 @@ class PreparationParams:
 
 
 @dataclass(frozen=True)
-class InteractionDiagnostics:
-    leak: float = 0.0
-    truncation_loss: float = 0.0
-
-
-@dataclass(frozen=True)
 class JointState:
     """Amplitudes indexed (grid row - start, level b/c, Fock index).
 
     amps covers the grid rows [start, stop); the state is zero on every
     other row.  start = 0 with one row per grid point is the full grid.
     fock_tail is the initial coherent state's weight beyond the Fock
-    truncation, 1 - ||c||^2.  amps must not change once field_gram is read.
+    truncation, 1 - ||c||^2; leak and truncation_loss are interact's losses.
+    amps must not change once field_gram is read.
     """
 
     grid: GridSpec
     geometry: SlitGeometry
     amps: np.ndarray
     start: int = 0
-    diagnostics: InteractionDiagnostics = dataclass_field(default_factory=InteractionDiagnostics)
     fock_tail: float = 0.0
+    leak: float = 0.0
+    truncation_loss: float = 0.0
 
     @property
     def n_max(self) -> int:
@@ -170,14 +165,17 @@ class JointState:
         """gram[m, n] = dx sum_g conj(amps[g, m]) amps[g, n], the transposed field density.
 
         Summed from the first to the last nonzero row, so zero rows around the
-        window leave it unchanged bit for bit.
+        window leave it unchanged bit for bit.  NumericRangeError if not finite.
         """
         lo, hi = 0, self.amps.shape[0]
         while lo < hi and not self.amps[lo].any():
             lo += 1
         while hi > lo and not self.amps[hi - 1].any():
             hi -= 1
-        return _gram(self.amps[lo:hi].reshape(-1, self.n_max)) * self.grid.dx
+        gram = _gram(self.amps[lo:hi].reshape(-1, self.n_max)) * self.grid.dx
+        if not np.isfinite(gram).all():
+            raise NumericRangeError("the joint state's field Gram matrix is not finite")
+        return gram
 
 
 @dataclass(frozen=True)
@@ -253,6 +251,8 @@ def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
     if edge > 1e-8:
         raise ConfigError(f"slit packets reach the grid boundary (density {edge:.2e})")
     support = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
+    if support.size == 0:
+        raise ConfigError("the grid does not resolve the slits: no grid point lies in a packet")
     start, stop = int(support[0]), int(support[-1]) + 1
     amps = np.empty((stop - start, 2, n_max), dtype=complex)
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
@@ -288,21 +288,17 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     photon-raising branch that falls off the truncation is accumulated
     into the truncation-loss diagnostic and trips TruncationError above
     tail_tol.  In exact mode the weight leaked to the excited level is
-    reported in diagnostics rather than tracked as a state (dispersive
-    mode leaks nothing).  One level's multipliers are released before the
-    other level's are evaluated.  The map is diagonal in position, so the
-    output covers the input's window.
+    reported as the state's leak rather than tracked as a state
+    (dispersive mode leaks nothing).  The map is diagonal in position, so
+    the output covers the input's window.
     """
-    n_max = state.n_max
     dx = state.grid.dx
     xs, index = _kick_positions(state, kick)
-    exact = mode == "exact"
+    levels = evolution.branch_multipliers(xs, params, state.n_max, mode)
 
-    def multipliers(level):
-        stay, cross, leak = evolution.branch_multipliers(level, xs, params, n_max, mode)
-        if index is None:
-            return stay, cross, leak
-        return stay[index], cross[index], leak[index] if exact else None
+    def multipliers(level):  # onto the rows; popped, so applied arrays are freed
+        arrays = levels.pop(level)
+        return arrays if index is None else [None if a is None else a[index] for a in arrays]
 
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
     in_c = state.amps[:, LEVEL_INDEX["c"], :]
@@ -320,7 +316,7 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    leak = float(np.sum(leak_b * np.abs(in_b) ** 2)) if exact else 0.0
+    leak = 0.0 if leak_b is None else float(np.sum(leak_b * np.abs(in_b) ** 2))
     del stay, cross, leak_b
 
     # |c>|m> -> |b>|m-1>
@@ -329,10 +325,9 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     out_c += stay
     cross[:, 1:] *= in_c[:, 1:]
     out_b[:, :-1] += cross[:, 1:]
-    if exact:
+    if leak_c is not None:
         leak = (leak + float(np.sum(leak_c * np.abs(in_c) ** 2))) * dx
-    return replace(state, amps=out,
-                   diagnostics=InteractionDiagnostics(leak=leak, truncation_loss=truncation_loss))
+    return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
 
 def _embed(state: JointState, window: np.ndarray) -> np.ndarray:
@@ -369,7 +364,7 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     weights = np.clip(weights, 0.0, None)
     total = float(np.sum(weights))
     if total <= 0.0:
-        raise ValueError("cannot trace a zero-norm state")
+        raise NumericError("cannot trace a zero-norm state")
     keep = rank_cut(weights)
     kept = float(np.sum(weights[keep]))
     discarded = float(np.sum(weights[~keep])) / total
@@ -418,5 +413,5 @@ def field_density(state: JointState) -> np.ndarray:
     rho = state.field_gram.T  # rho[m, n] = dx sum_g amps_m conj(amps_n)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
-        raise ValueError("cannot trace a zero-norm state")
+        raise NumericError("cannot trace a zero-norm state")
     return rho / tr

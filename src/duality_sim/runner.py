@@ -167,8 +167,8 @@ def _read(kind, value, label: str):
     if kind is bool or kind is str:
         if isinstance(value, kind):
             return value
-    elif isinstance(value, bool):
-        pass  # true and false are not numbers
+    elif isinstance(value, (bool, str)):
+        pass  # true, false and strings are not numbers
     elif kind is int:
         if isinstance(value, int) or isinstance(value, float) and value.is_integer():
             return int(value)
@@ -354,8 +354,8 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.stage >= 2:
         state = interact(state, config.interaction_params(), mode=config.mode,
                          kick=config.kick, tail_tol=tail_tol)
-        diagnostics["leak"] = state.diagnostics.leak
-        diagnostics["truncation_loss"] = state.diagnostics.truncation_loss
+        diagnostics["leak"] = state.leak
+        diagnostics["truncation_loss"] = state.truncation_loss
         fixed_chi = config.readout.type == "quadrature" and config.readout.chi is not None
         diagnostics["post_interaction_norm_sq"] = (  # a fixed-chi readout reads no Gram
             state.norm_sq() if fixed_chi else float(np.trace(state.field_gram).real))

@@ -55,11 +55,11 @@ def kick_row(level, field, params, slit="top", mode="dispersive", tail_tol=1e-9)
     The slit kick evaluates the map exactly at that slit's centre: the
     common antinode on top, the common node at the bottom.  Returns the
     input level's amplitudes, the other level's (the cross branch) and the
-    interaction diagnostics.
+    interacted state.
     """
     amps = np.zeros((1, 2, field.n_max), dtype=complex)
     amps[0, LEVEL_INDEX[level]] = field.amps
     state = JointState(grid=ROW_GRID, geometry=SlitGeometry(), amps=amps, start=SLIT_ROW[slit])
     out = interact(state, params, mode=mode, tail_tol=tail_tol)
     other = "c" if level == "b" else "b"
-    return out.amps[0, LEVEL_INDEX[level]], out.amps[0, LEVEL_INDEX[other]], out.diagnostics
+    return out.amps[0, LEVEL_INDEX[level]], out.amps[0, LEVEL_INDEX[other]], out

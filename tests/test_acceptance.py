@@ -93,7 +93,7 @@ def test_criterion_4_dispersive_unitarity():
         params = InteractionParams(epsilon=rng.uniform(0.0, 9.0),
                                    theta_int=rng.uniform(0.1, 2.0 * math.pi))
         for level in ("b", "c"):
-            stay, cross, _ = branch_multipliers(level, x, params, 96)
+            stay, cross, _ = branch_multipliers(x, params, 96)[level]
             worst = max(worst, float(np.max(np.abs(
                 np.abs(stay) ** 2 + np.abs(cross) ** 2 - 1.0))))
     report(4, "per-photon-number two-level unitarity",
@@ -109,8 +109,8 @@ def test_criterion_5_exact_dispersive_convergence():
         leak_worst = 0.0
         for level in ("b", "c"):
             params = InteractionParams(epsilon=3.0, theta_int=math.pi, detuning_ratio=ratio)
-            sd, cd, _ = branch_multipliers(level, 0.0, params, 96)
-            se, ce, leak = branch_multipliers(level, 0.0, params, 96, mode="exact")
+            sd, cd, _ = branch_multipliers(0.0, params, 96)[level]
+            se, ce, leak = branch_multipliers(0.0, params, 96, mode="exact")[level]
             worst = max(worst,
                         float(np.max(np.abs((sd - se) * field.amps))),
                         float(np.max(np.abs((cd - ce) * field.amps))))

@@ -252,8 +252,21 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 FLOATS = st.floats(1e-3, 50.0) | st.integers(1, 100)
 COMPLEX = FLOATS | st.floats(-50.0, 50.0) | st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2)
-WILD = (st.floats() | st.sampled_from(HUGE)
-        | st.lists(st.floats() | st.sampled_from(HUGE), min_size=2, max_size=2))
+NUMERIC_STRINGS = st.floats().map(repr) | st.integers().map(str)
+WILD = (st.floats() | st.sampled_from(HUGE) | NUMERIC_STRINGS
+        | st.lists(st.floats() | st.sampled_from(HUGE) | NUMERIC_STRINGS, min_size=2, max_size=2))
+# the only strings a config holds: names of cases, readouts, modes and kicks
+KEYWORDS = {"trace", "quadrature", "most-probable", "dispersive", "exact", "slit", "local",
+            *SPHERE_CASE_NAMES}
+
+
+def strings(value):
+    """The string values (not keys) anywhere in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [s for item in value for s in strings(item)]
+    return [value] if isinstance(value, str) else []
 
 
 @st.composite
@@ -324,12 +337,14 @@ def configs(draw):
 @example(data={"stage": 1, "case": {"c_up": 1e200, "c_down": 0, "phi": 0}})
 @example(data={"stage": 1, "case": "V1", "alpha": 10 ** 400})
 @example(data={"stage": 1, "case": "V1", "numeric": {"grid": {"x_max": math.inf}}})
+@example(data={"stage": 2, "case": "V1", "t_prime": "2.5"})
 def test_any_json_is_rejected_or_echoed_faithfully(data):
     # parse level only: a drawn n_points of 1e9 must never reach run
     try:
         config = ExperimentConfig.from_dict(data)
     except ConfigError:
         return
+    assert set(strings(data)) <= KEYWORDS  # a numeric string is never read as a number
     echo = config.to_dict()
     assert ExperimentConfig.from_dict(echo) == config
     json.dumps(echo, allow_nan=False)

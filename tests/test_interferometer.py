@@ -6,7 +6,8 @@ import pytest
 
 from analytic import dense_rho, fidelity
 from duality_sim import interferometer
-from duality_sim.errors import ConfigError, ImpossibleOutcomeError
+from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
+                                 NumericRangeError)
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import QuadratureSpec, coherent_state
 from duality_sim.interferometer import (LEVEL_INDEX, GridSpec, JointState,
@@ -88,7 +89,7 @@ class TestInteract:
         prep = PreparationParams(0.6, 0.8, 1.1)
         state = interact(build_initial(prep, geometry, ALPHA, default_grid, 96), PI_KICK)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        assert state.diagnostics.truncation_loss == 0.0
+        assert state.truncation_loss == 0.0
 
     def test_norm_preserved_with_drive(self, default_grid, geometry):
         params = InteractionParams(epsilon=3.0, theta_int=math.pi)
@@ -154,8 +155,26 @@ class TestTraceOutField:
         state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
         zero = JointState(grid=state.grid, geometry=state.geometry,
                           amps=np.zeros_like(state.amps))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             trace_out_field(zero)
+
+    def test_zero_state_field_density_rejected(self, default_grid, geometry):
+        state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
+        zero = JointState(grid=state.grid, geometry=state.geometry,
+                          amps=np.zeros_like(state.amps))
+        with pytest.raises(NumericError):
+            field_density(zero)
+
+    def test_nan_row_rejected_before_the_eigensolver(self, default_grid, geometry):
+        state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
+        amps = state.amps.copy()
+        amps[len(amps) // 2] = math.nan
+        broken = JointState(grid=state.grid, geometry=state.geometry, amps=amps,
+                            start=state.start)
+        with pytest.raises(NumericRangeError):
+            trace_out_field(broken)
+        with pytest.raises(NumericRangeError):
+            field_density(broken)
 
 
 class TestReadoutBlasThreads:
@@ -199,7 +218,7 @@ class TestReadoutBlasThreads:
         state = build_initial(prep_v1(), geometry, ALPHA, default_grid, 32)
         zero = JointState(grid=state.grid, geometry=state.geometry,
                           amps=np.zeros_like(state.amps))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             trace_out_field(zero)
         assert blas_threads() == 2
 

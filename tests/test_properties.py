@@ -56,8 +56,7 @@ def full_grid(state):
     """The same state with a row for every grid point (start = 0)."""
     amps = np.zeros((state.grid.n_points,) + state.amps.shape[1:], dtype=complex)
     amps[state.start:state.stop] = state.amps
-    return JointState(grid=state.grid, geometry=state.geometry, amps=amps,
-                      diagnostics=state.diagnostics)
+    return JointState(grid=state.grid, geometry=state.geometry, amps=amps)
 
 
 def interact_at_every_point(state, params, mode, kick):
@@ -65,8 +64,8 @@ def interact_at_every_point(state, params, mode, kick):
     x = state.x
     geom = state.geometry
     xs = x if kick == "local" else np.where(x < geom.midpoint, geom.x_top, geom.x_bottom)
-    stay_b, cross_b, _ = branch_multipliers("b", xs, params, state.n_max, mode)
-    stay_c, cross_c, _ = branch_multipliers("c", xs, params, state.n_max, mode)
+    stay_b, cross_b, _ = branch_multipliers(xs, params, state.n_max, mode)["b"]
+    stay_c, cross_c, _ = branch_multipliers(xs, params, state.n_max, mode)["c"]
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
     in_c = state.amps[:, LEVEL_INDEX["c"], :]
     out = np.zeros_like(state.amps)
@@ -172,7 +171,7 @@ def test_windowed_interaction_matches_the_full_grid(case):
     assert np.array_equal(windowed.amps, oracle[state.start:state.stop])
     assert not oracle[:state.start].any() and not oracle[state.stop:].any()
     if mode == "dispersive":
-        assert windowed.diagnostics.leak == 0.0
+        assert windowed.leak == 0.0
 
 
 # a weak kick leaves a flat peak, where the two most-probable searches part

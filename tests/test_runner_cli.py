@@ -2,14 +2,19 @@ import ctypes
 import json
 import math
 import resource
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from analytic import visibility_or_zero
 from conftest import SMALL_NUMERIC
 from duality_sim import runner, runtime
 from duality_sim.cli import main
+from duality_sim.duality import SPHERE_CASE_NAMES
 from duality_sim.errors import ConfigError
 from duality_sim.fock import coherent_state
 from duality_sim.interferometer import build_initial, interact
@@ -406,6 +411,12 @@ class TestCli:
         {"case": {"c_up": 1.0, "c_down": 0.0, "phi": 0.0, "name": "V1"}},
         {"alpha": 10 ** 400},
         {"numeric": {"grid": {"x_max": math.inf}}},
+        # a JSON string is not a number, whatever it spells
+        {"t_prime": "2.5"},
+        {"theta_int": "3"},
+        {"case": {"c_up": 1.0, "c_down": 0.0, "phi": "0"}},
+        {"stage": 3, "epsilon": ["1", "2"]},
+        {"numeric": {"grid": {"x_min": "-12"}}},
     ])
     def test_bad_value_exit_code(self, tmp_path, overrides):
         data = {"stage": 2, "case": "V1", **overrides}
@@ -428,13 +439,77 @@ class TestCli:
          "readout": {"type": "quadrature", "theta": 0.0, "chi": 1.0}},
         {"mode": "exact", "numeric": {"detuning_ratio": 1e300},
          "readout": {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}},
+        {"theta_int": 1e300},
     ])
-    def test_out_of_range_interaction_exit_code(self, tmp_path, overrides):
-        # |epsilon|^2 overflows, or the exact multipliers come out NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_interaction_exit_code(self, tmp_path, capsys, overrides):
+        # |epsilon|^2 overflows, or an interaction phase is beyond the kernel's limit;
+        # either fails before any multiplier is evaluated
         data = {"stage": 3, "case": "V1", **overrides}
         cfg = self.write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert ("phase" in err) == ("epsilon" not in overrides)
+        assert "n_max" not in err
 
     def test_integral_float_stage_accepted(self):
         assert small_config(stage=2.0).stage == 2
+
+
+# CLI-level fuzz: drawn configs run in-process at small numerics
+SPECIAL = [0.0, 1.0, -1.0, 3.0, 1e-300, 1e300, -1e300, 1e154, 2.0 ** 53]
+NUMBERS = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+
+
+@st.composite
+def run_configs(draw):
+    """A run config of drawn keys: sampled names, edge-case or uniform numbers."""
+    def some(strategies):
+        return {key: draw(value) for key, value in strategies.items()
+                if draw(st.integers(0, 2)) == 0}
+
+    grid = {"n_points": draw(st.integers(16, 512)), **some({"x_min": NUMBERS, "x_max": NUMBERS})}
+    numeric = {"n_max": draw(st.integers(1, 24)), "grid": grid,
+               **some({"tail_tolerance": NUMBERS, "boundary_tolerance": NUMBERS,
+                       "detuning_ratio": NUMBERS})}
+    readout = st.just("trace") | st.fixed_dictionaries({
+        "type": st.just("quadrature"), "theta": NUMBERS,
+        "chi": NUMBERS | st.just("most-probable")})
+    return {"stage": draw(st.sampled_from([1, 2, 3])),
+            "case": draw(st.sampled_from(SPHERE_CASE_NAMES)), "numeric": numeric,
+            **some({"alpha": NUMBERS | PAIRS, "epsilon": NUMBERS | PAIRS, "theta_int": NUMBERS,
+                    "t_prime": NUMBERS, "mode": st.sampled_from(["dispersive", "exact"]),
+                    "kick": st.sampled_from(["slit", "local"]), "readout": readout})}
+
+
+def json_numbers(value):
+    if isinstance(value, dict):
+        return [n for item in value.values() for n in json_numbers(item)]
+    if isinstance(value, list):
+        return [n for item in value for n in json_numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=run_configs())
+# no grid point lands in a slit packet (was an IndexError)
+@example(data={"stage": 1, "case": "V1",
+               "numeric": {"n_max": 1, "grid": {"x_min": -1000.0, "x_max": 5.0, "n_points": 16}}})
+# |alpha|^2 overflows (was an OverflowError)
+@example(data={"stage": 2, "case": "V1", "alpha": 1e300, "numeric": {"n_max": 4}})
+# the coherent state underflows to zero within the tail tolerance (was a ValueError)
+@example(data={"stage": 2, "case": "V1", "alpha": 1e5,
+               "numeric": {"n_max": 8, "tail_tolerance": 3.0}})
+def test_any_run_config_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(data))
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert np.isfinite(np.loadtxt(out / "pattern.csv", delimiter=",", skiprows=1)).all()
+            for name in ("metrics.json", "diagnostics.json"):
+                numbers = json_numbers(json.loads((out / name).read_text()))
+                assert all(math.isfinite(n) for n in numbers), name

@@ -30,7 +30,6 @@ from .runtime import one_blas_thread
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "FieldState",
     "QuadratureSpec",
     "QGrid",
     "coherent_state",
@@ -41,26 +40,6 @@ __all__ = [
     "rank_cut",
     "write_columns",
 ]
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Amplitudes over the truncated number basis; norm**2 lies in (0, 1]."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("field amplitudes must form a non-empty 1-D vector")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.size
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
 
 
 @dataclass(frozen=True)
@@ -98,8 +77,8 @@ def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
         fh.write(header + "\n" + body)
 
 
-def coherent_state(alpha: complex, n_max: int) -> FieldState:
-    """Coherent state |alpha> truncated at n_max amplitudes.
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
+    """Amplitudes amps of the coherent state |alpha>, truncated at n_max Fock states.
 
     amps[m] = exp(-|alpha|^2/2) alpha^m / sqrt(m!).  The truncated tail is
     dropped as-is (no renormalisation); pick n_max well above |alpha|^2 so
@@ -119,7 +98,7 @@ def coherent_state(alpha: complex, n_max: int) -> FieldState:
         # c_m = c_{m-1} * alpha / sqrt(m); stable for any |alpha| the
         # truncation can represent.
         amps[1:] = amps[0] * np.cumprod(alpha / np.sqrt(np.arange(1.0, n_max)))
-    return FieldState(amps)
+    return amps
 
 
 def hermite_oscillator_functions(u, n_max: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The atomic transverse coordinate lives on a uniform grid (units of 1/k_c,
 so the classical wavelength is 2 pi).  The top slit sits on the common
-antinode at x = 0, the bottom slit on the common node at x = pi/2, and
-each slit launches a Gaussian packet of width sigma.  The joint state is a
+antinode at X_TOP = 0, the bottom slit on the common node at X_BOTTOM = pi/2,
+and each slit launches a Gaussian packet of width SIGMA.  The joint state is a
 complex array indexed (grid row, level in {b, c}, Fock index) over its
 support window: the span of grid rows on which the slit packets are
 nonzero (beyond a few sigma the Gaussians underflow to exactly 0.0).  The
@@ -41,12 +41,14 @@ from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadratu
 from .runtime import one_blas_thread
 
 LEVEL_INDEX = {"b": 0, "c": 1}
-SLIT_KICK = "slit"
-LOCAL_KICK = "local"
+X_TOP = 0.0
+X_BOTTOM = math.pi / 2.0
+SIGMA = 0.05
+MIDPOINT = 0.5 * (X_TOP + X_BOTTOM)
 
 __all__ = [
+    "X_TOP", "X_BOTTOM", "SIGMA", "MIDPOINT",
     "GridSpec",
-    "SlitGeometry",
     "PreparationParams",
     "JointState",
     "AtomDensity",
@@ -68,8 +70,9 @@ class GridSpec:
     n_points: int = 4096
 
     def __post_init__(self):
-        if not (-math.inf < self.x_min < self.x_max < math.inf and self.n_points >= 16):
-            raise ConfigError("grid must have finite x_min < x_max and at least 16 points")
+        if not (self.x_min < self.x_max and math.isfinite(self.x_max - self.x_min)
+                and self.n_points >= 16):
+            raise ConfigError("grid must have x_min < x_max, a finite span and at least 16 points")
 
     @property
     def dx(self) -> float:
@@ -78,26 +81,6 @@ class GridSpec:
     @property
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class SlitGeometry:
-    """Slit centres and Gaussian aperture width, in units of 1/k_c."""
-
-    x_top: float = 0.0
-    x_bottom: float = math.pi / 2.0
-    sigma: float = 0.05
-
-    def __post_init__(self):
-        # slit separation is a quarter classical wavelength
-        if abs((self.x_bottom - self.x_top) - math.pi / 2.0) > 1e-12:
-            raise ConfigError("slit separation must be pi/2 (0.25 classical wavelengths)")
-        if not self.sigma > 0.0:
-            raise ConfigError("slit width must be positive")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.x_top + self.x_bottom)
 
 
 @dataclass(frozen=True)
@@ -136,7 +119,6 @@ class JointState:
     """
 
     grid: GridSpec
-    geometry: SlitGeometry
     amps: np.ndarray
     start: int = 0
     fock_tail: float = 0.0
@@ -216,72 +198,55 @@ class AtomDensity:
         return float(np.sum(np.abs(gram) ** 2))
 
 
-def _slit_profile(grid: GridSpec, centre: float, sigma: float) -> np.ndarray:
-    x = grid.x
-    return (2.0 * math.pi * sigma ** 2) ** -0.25 * np.exp(-((x - centre) ** 2) / (4.0 * sigma ** 2))
+def _slit_profile(grid: GridSpec, centre: float) -> np.ndarray:
+    # the Gaussian is 0.0 beyond 64 sigma, clipped or not; the clip keeps d**2 finite
+    d = np.clip(grid.x - centre, -64.0 * SIGMA, 64.0 * SIGMA)
+    return (2.0 * math.pi * SIGMA ** 2) ** -0.25 * np.exp(-(d ** 2) / (4.0 * SIGMA ** 2))
 
 
-def build_initial(prep: PreparationParams, geom: SlitGeometry, alpha: complex,
-                  grid: GridSpec, n_max: int, tail_tol: float = 1e-9) -> JointState:
+def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max: int,
+                  tail_tol: float = 1e-9) -> JointState:
     """Two slit packets, correlated internal states, and a coherent field.
 
     The state covers the grid rows from the first to the last one where a
     packet is nonzero; the cut is at exact zero, so nothing is dropped.
     The coherent state's weight beyond the Fock truncation is lost from the
-    start; above tail_tol that raises TruncationError.
+    start; above tail_tol that raises TruncationError.  A grid on which the
+    packets' weight, norm / (1 - fock_tail), is not 1 within tail_tol does
+    not sample them: ConfigError.
     """
-    margin = 6.0 * geom.sigma
-    if grid.x_min > geom.x_top - margin or grid.x_max < geom.x_bottom + margin:
+    margin = 6.0 * SIGMA
+    if grid.x_min > X_TOP - margin or grid.x_max < X_BOTTOM + margin:
         raise ConfigError("grid does not cover both slits with a 6 sigma margin")
-    field = coherent_state(alpha, n_max)
-    missing = 1.0 - field.norm_sq()
+    c_m = coherent_state(alpha, n_max)
+    missing = 1.0 - float(np.vdot(c_m, c_m).real)
     if not missing <= tail_tol:  # NaN when the amplitudes overflowed
         raise TruncationError(
             f"the coherent state leaves {missing:.3e} weight beyond {n_max} Fock states "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    g_top = _slit_profile(grid, geom.x_top, geom.sigma)
-    g_bot = _slit_profile(grid, geom.x_bottom, geom.sigma)
-    c_m = field.amps
+    g_top = _slit_profile(grid, X_TOP)
     phi = float(prep.phi)
-    ground = prep.c_up * math.cos(phi) * g_top + prep.c_down * g_bot
+    ground = prep.c_up * math.cos(phi) * g_top + prep.c_down * _slit_profile(grid, X_BOTTOM)
     mixed = prep.c_up * math.sin(phi) * g_top
     edge = max(abs(ground[0]) ** 2 + abs(mixed[0]) ** 2,
                abs(ground[-1]) ** 2 + abs(mixed[-1]) ** 2)
     if edge > 1e-8:
         raise ConfigError(f"slit packets reach the grid boundary (density {edge:.2e})")
+    weight = float(np.sum(np.abs(ground) ** 2 + np.abs(mixed) ** 2)) * grid.dx
     support = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
-    if support.size == 0:
-        raise ConfigError("the grid does not resolve the slits: no grid point lies in a packet")
+    if support.size == 0 or not abs(weight - 1.0) <= tail_tol:  # NaN fails too
+        raise ConfigError(f"the grid does not resolve the slits: the packets' weight on it is "
+                          f"{weight:.3e}, not 1 within {tail_tol:.1e}")
     start, stop = int(support[0]), int(support[-1]) + 1
     amps = np.empty((stop - start, 2, n_max), dtype=complex)
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
     amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
-    return JointState(grid=grid, geometry=geom, amps=amps, start=start, fock_tail=missing)
-
-
-def _kick_positions(state: JointState, kick: str):
-    """Distinct positions at which the interaction multipliers are evaluated.
-
-    Returns (positions, index): state row i takes the multipliers of
-    positions[index[i]], or of positions[i] when index is None.  "slit"
-    assigns every grid point the centre of its nearest slit, which
-    reproduces per-path evolution (each packet sees one antinode or node),
-    so only the two slit centres are evaluated; "local" evaluates the
-    standing-wave couplings at every grid point, so the kick varies across
-    the packet width.
-    """
-    if kick == LOCAL_KICK:
-        return state.x, None
-    if kick == SLIT_KICK:
-        geom = state.geometry
-        positions = np.array([geom.x_top, geom.x_bottom])
-        return positions, np.where(state.x < geom.midpoint, 0, 1)
-    raise ConfigError(f"unknown kick policy {kick!r}")
+    return JointState(grid=grid, amps=amps, start=start, fock_tail=missing)
 
 
 def interact(state: JointState, params: InteractionParams, mode: str = "dispersive",
-             kick: str = SLIT_KICK, tail_tol: float = 1e-9) -> JointState:
+             kick: str = "slit", tail_tol: float = 1e-9) -> JointState:
     """Apply the cavity interaction to every row of the state.
 
     Each level's Fock vector is replaced by its stay/cross branches; the
@@ -291,42 +256,54 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     reported as the state's leak rather than tracked as a state
     (dispersive mode leaks nothing).  The map is diagonal in position, so
     the output covers the input's window.
+
+    The multipliers reach the rows in blocks (rows, at): rows take row(s) at
+    of the multipliers, by broadcasting.  "slit" evaluates them at the two
+    slit centres, each for the rows on its side of MIDPOINT, which reproduces
+    per-path evolution; "local" evaluates them at every row (at = rows).
     """
-    dx = state.grid.dx
-    xs, index = _kick_positions(state, kick)
+    if kick == "slit":
+        split = int(np.searchsorted(state.x, MIDPOINT))
+        xs, blocks = np.array([X_TOP, X_BOTTOM]), [(slice(0, split), 0), (slice(split, None), 1)]
+    elif kick == "local":  # 256 rows a block keeps the |c> products' temporaries small
+        xs, blocks = state.x, [(slice(i, i + 256),) * 2 for i in range(0, len(state.x), 256)]
+    else:
+        raise ConfigError(f"unknown kick policy {kick!r}")
     levels = evolution.branch_multipliers(xs, params, state.n_max, mode)
-
-    def multipliers(level):  # onto the rows; popped, so applied arrays are freed
-        arrays = levels.pop(level)
-        return arrays if index is None else [None if a is None else a[index] for a in arrays]
-
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
     in_c = state.amps[:, LEVEL_INDEX["c"], :]
     out = np.zeros_like(state.amps)
     out_b = out[:, LEVEL_INDEX["b"], :]
     out_c = out[:, LEVEL_INDEX["c"], :]
+    # per-row products, each summed once over all rows
+    fallen = np.empty(len(in_b), dtype=complex)
+    leaked = None if mode == "dispersive" else np.empty(in_b.shape)
 
     # |b>|m> -> |c>|m+1>; the top row falls off the truncation
-    stay, cross, leak_b = multipliers("b")
-    np.multiply(stay, in_b, out=out_b)
-    np.multiply(cross[:, :-1], in_b[:, :-1], out=out_c[:, 1:])
-    truncation_loss = float(np.sum(np.abs(cross[:, -1] * in_b[:, -1]) ** 2)) * dx
+    stay, cross, rate = levels.pop("b")
+    for rows, at in blocks:
+        np.multiply(stay[at], in_b[rows], out=out_b[rows])
+        np.multiply(cross[at, :-1], in_b[rows, :-1], out=out_c[rows, 1:])
+        np.multiply(cross[at, -1], in_b[rows, -1], out=fallen[rows])
+        if leaked is not None:
+            np.multiply(rate[at], np.abs(in_b[rows]) ** 2, out=leaked[rows])
+    truncation_loss = float(np.sum(np.abs(fallen) ** 2)) * state.grid.dx
     if not truncation_loss <= tail_tol:  # NaN fails too
         raise TruncationError(
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    leak = 0.0 if leak_b is None else float(np.sum(leak_b * np.abs(in_b) ** 2))
-    del stay, cross, leak_b
+    leak = 0.0 if leaked is None else float(np.sum(leaked))
 
-    # |c>|m> -> |b>|m-1>
-    stay, cross, leak_c = multipliers("c")
-    stay *= in_c
-    out_c += stay
-    cross[:, 1:] *= in_c[:, 1:]
-    out_b[:, :-1] += cross[:, 1:]
-    if leak_c is not None:
-        leak = (leak + float(np.sum(leak_c * np.abs(in_c) ** 2))) * dx
+    # |c>|m> -> |b>|m-1>; popped, so the |b> multipliers are freed first
+    stay, cross, rate = levels.pop("c")
+    for rows, at in blocks:
+        out_c[rows] += stay[at] * in_c[rows]
+        out_b[rows, :-1] += cross[at, 1:] * in_c[rows, 1:]
+        if leaked is not None:
+            np.multiply(rate[at], np.abs(in_c[rows]) ** 2, out=leaked[rows])
+    if leaked is not None:
+        leak = (leak + float(np.sum(leaked))) * state.grid.dx
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, UndefinedVisibilityError
+from .errors import GridError, NumericRangeError, UndefinedVisibilityError
+from .evolution import PHASE_LIMIT
 from .fock import write_columns
 from .interferometer import AtomDensity
 
@@ -67,10 +68,14 @@ def free_propagate(rho: AtomDensity, t_prime: float,
 
     The kernel is unitary, so trace, Hermiticity and purity are preserved
     exactly; the boundary check guards against wrap-around of a state that
-    outgrew the periodic grid.
+    outgrew the periodic grid.  A phase DISPERSION_RATE t_prime k_max^2
+    beyond evolution.PHASE_LIMIT is rounding noise: NumericRangeError.
     """
     grid = rho.grid
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    phase = DISPERSION_RATE * t_prime * float(np.max(k * k))
+    if not phase <= PHASE_LIMIT:  # NaN fails too
+        raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
     spectra = np.fft.fft(rho.factors, axis=0)
     # in place, kernel first: with the operands swapped the complex

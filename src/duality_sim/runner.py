@@ -30,9 +30,9 @@ from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, s
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
 from .fock import QGrid, QuadratureSpec, husimi_q, quadrature_projectors, write_columns
-from .interferometer import (GridSpec, JointState, PreparationParams, SlitGeometry,
-                             build_initial, condition_on_quadrature, field_density,
-                             interact, quadrature_pdf, trace_out_field)
+from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
+                             condition_on_quadrature, field_density, interact,
+                             quadrature_pdf, trace_out_field)
 from .propagation import ScreenPattern, free_propagate, fringe_visibility, screen_distribution
 from .runtime import keep_freed_memory
 
@@ -293,9 +293,8 @@ def _write_json(path, payload) -> None:
                           encoding="ascii")
 
 
-def most_probable_chi(state: JointState, theta: float,
-                      search=CHI_SEARCH_RANGE) -> float:
-    """Locate the maximum of the quadrature outcome density.
+def most_probable_chi(state: JointState, theta: float) -> float:
+    """Locate the maximum of the quadrature outcome density over CHI_SEARCH_RANGE.
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
@@ -303,7 +302,7 @@ def most_probable_chi(state: JointState, theta: float,
     joint state per outcome: on a flat peak it fixes chi only to ~sqrt of the
     density's rounding, so the Gram's different rounding would move chi ~1e-8.
     """
-    coarse = np.linspace(search[0], search[1], 281)
+    coarse = np.linspace(*CHI_SEARCH_RANGE, 281)
     dens = quadrature_pdf(state, theta, coarse)
     best = int(np.argmax(dens))
     lo = coarse[max(best - 1, 0)]
@@ -338,24 +337,34 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
         return None
 
 
+def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> JointState:
+    """build -> interact: the joint state leaving the cavities (stage 1 has none).
+
+    diagnostics, if given, receives the initial norm, Fock tail and support rows.
+    """
+    tail_tol = config.numeric.tail_tolerance
+    alpha = 0.0 if config.stage == 1 else config.alpha
+    state = build_initial(config.case, alpha, config.numeric.grid, config.numeric.n_max,
+                          tail_tol=tail_tol)
+    if diagnostics is not None:  # the norm is a pass over the state; the sweep reports none
+        diagnostics.update(initial_norm_sq=state.norm_sq(), initial_fock_tail=state.fock_tail,
+                           support_rows=[state.start, state.stop])
+    if config.stage >= 2:
+        state = interact(state, config.interaction_params(), mode=config.mode,
+                         kick=config.kick, tail_tol=tail_tol)
+    return state
+
+
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment end to end."""
     keep_freed_memory()
     prep = config.case
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
-    geom = SlitGeometry()
-    alpha = 0.0 if config.stage == 1 else config.alpha
-    tail_tol = config.numeric.tail_tolerance
-    state = build_initial(prep, geom, alpha, config.numeric.grid, config.numeric.n_max,
-                          tail_tol=tail_tol)
-    diagnostics = {"stage": config.stage, "initial_norm_sq": state.norm_sq(),
-                   "initial_fock_tail": state.fock_tail, "support_rows": [state.start, state.stop]}
+    diagnostics = {"stage": config.stage}
+    state = _cavity_exit(config, diagnostics)
 
     if config.stage >= 2:
-        state = interact(state, config.interaction_params(), mode=config.mode,
-                         kick=config.kick, tail_tol=tail_tol)
-        diagnostics["leak"] = state.leak
-        diagnostics["truncation_loss"] = state.truncation_loss
+        diagnostics.update(leak=state.leak, truncation_loss=state.truncation_loss)
         fixed_chi = config.readout.type == "quadrature" and config.readout.chi is not None
         diagnostics["post_interaction_norm_sq"] = (  # a fixed-chi readout reads no Gram
             state.norm_sq() if fixed_chi else float(np.trace(state.field_gram).real))
@@ -366,7 +375,7 @@ def run(config: ExperimentConfig) -> RunResult:
 
     chi_axis = chi_pdf = None
     if config.emit_quadrature_pdf and config.stage >= 2:
-        chi_axis = np.linspace(CHI_SEARCH_RANGE[0], CHI_SEARCH_RANGE[1], 281)
+        chi_axis = np.linspace(*CHI_SEARCH_RANGE, 281)
         chi_pdf = quadrature_pdf(state, config.readout.theta, chi_axis)
 
     if config.readout.type == "quadrature" and config.stage >= 2:
@@ -378,7 +387,7 @@ def run(config: ExperimentConfig) -> RunResult:
         diagnostics["readout"] = {"kind": "quadrature", "theta": config.readout.theta,
                                   "chi": chi, "outcome_density": density}
     else:
-        rho = trace_out_field(state, tail_tol=tail_tol)
+        rho = trace_out_field(state, tail_tol=config.numeric.tail_tolerance)
         diagnostics["readout"] = {"kind": "trace"}
     diagnostics["schmidt_rank"] = rho.rank
     diagnostics["discarded_weight"] = rho.discarded_weight
@@ -421,12 +430,7 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     x_axis, y_axis = np.append(QGRID_AXIS, base.alpha.real), np.append(QGRID_AXIS, base.alpha.imag)
     points = []
     for eps in epsilons:
-        config = replace(base, stage=3, epsilon=eps, case=case)
-        tail_tol = config.numeric.tail_tolerance
-        state = build_initial(case, SlitGeometry(), config.alpha,
-                              config.numeric.grid, config.numeric.n_max, tail_tol=tail_tol)
-        state = interact(state, config.interaction_params(), mode=config.mode,
-                         kick=config.kick, tail_tol=tail_tol)
+        state = _cavity_exit(replace(base, stage=3, epsilon=eps, case=case))
         q = husimi_q(field_density(state), x_axis, y_axis).values
         points.append(SweepPoint(
             epsilon=float(eps),

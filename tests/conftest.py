@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duality_sim.interferometer import LEVEL_INDEX, GridSpec, JointState, SlitGeometry, interact
+from duality_sim.interferometer import LEVEL_INDEX, GridSpec, JointState, interact
 from duality_sim.runtime import openblas_threads
 
 ALPHA = math.sqrt(8.0)
@@ -18,11 +18,6 @@ SMALL_NUMERIC = {
 @pytest.fixture(scope="session")
 def default_grid():
     return GridSpec()
-
-
-@pytest.fixture(scope="session")
-def geometry():
-    return SlitGeometry()
 
 
 @pytest.fixture
@@ -57,9 +52,9 @@ def kick_row(level, field, params, slit="top", mode="dispersive", tail_tol=1e-9)
     input level's amplitudes, the other level's (the cross branch) and the
     interacted state.
     """
-    amps = np.zeros((1, 2, field.n_max), dtype=complex)
-    amps[0, LEVEL_INDEX[level]] = field.amps
-    state = JointState(grid=ROW_GRID, geometry=SlitGeometry(), amps=amps, start=SLIT_ROW[slit])
+    amps = np.zeros((1, 2, field.size), dtype=complex)
+    amps[0, LEVEL_INDEX[level]] = field
+    state = JointState(grid=ROW_GRID, amps=amps, start=SLIT_ROW[slit])
     out = interact(state, params, mode=mode, tail_tol=tail_tol)
     other = "c" if level == "b" else "b"
     return out.amps[0, LEVEL_INDEX[level]], out.amps[0, LEVEL_INDEX[other]], out

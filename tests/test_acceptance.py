@@ -15,9 +15,9 @@ from conftest import kick_row
 from duality_sim.duality import SPHERE_CASE_NAMES, gamma_of_phi, metrics
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import QuadratureSpec, coherent_state
-from duality_sim.interferometer import (GridSpec, PreparationParams, SlitGeometry,
-                                        build_initial, condition_on_quadrature, interact,
-                                        trace_out_field)
+from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, GridSpec,
+                                        PreparationParams, build_initial,
+                                        condition_on_quadrature, interact, trace_out_field)
 from duality_sim.propagation import free_propagate, screen_distribution
 from duality_sim.runner import ExperimentConfig, epsilon_sweep, most_probable_chi, run
 
@@ -45,14 +45,14 @@ def stage1_results():
 @pytest.fixture(scope="module")
 def stage2_v1_state():
     state = build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
-                          SlitGeometry(), ALPHA, GridSpec(), 96)
+                          ALPHA, GridSpec(), 96)
     return interact(state, PI_KICK)
 
 
 def test_criterion_1_phase_kick_exactness():
     # the kernel applied at the top slit's centre, the common antinode
     stay, cross, _ = kick_row("c", coherent_state(ALPHA, 96), PI_KICK)
-    fid = fidelity(stay, coherent_state(-ALPHA, 96).amps)
+    fid = fidelity(stay, coherent_state(-ALPHA, 96))
     report(1, "pi phase kick lands on the opposite coherent state",
            not np.any(cross) and fid >= 1.0 - 1e-8, f"fidelity 1-{1-fid:.2e}")
 
@@ -60,14 +60,14 @@ def test_criterion_1_phase_kick_exactness():
 def test_criterion_2_no_kick_exactness():
     field = coherent_state(ALPHA, 96)
     stay, cross, _ = kick_row("b", field, PI_KICK)
-    dark_ok = not np.any(cross) and np.array_equal(stay, field.amps)
+    dark_ok = not np.any(cross) and np.array_equal(stay, field)
     node_ok = True
     for eps in (0.0, 1.0, 3.0, 5.0, 9.0):
         params = InteractionParams(epsilon=eps, theta_int=math.pi)
         for level in ("b", "c"):
             # the kernel applied at the bottom slit's centre, the common node
             stay, cross, _ = kick_row(level, field, params, slit="bottom")
-            node_ok &= not np.any(cross) and np.array_equal(stay, field.amps)
+            node_ok &= not np.any(cross) and np.array_equal(stay, field)
     report(2, "dark level and node leave the field bit-for-bit",
            dark_ok and node_ok, f"dark={dark_ok} node={node_ok}")
 
@@ -102,7 +102,7 @@ def test_criterion_4_dispersive_unitarity():
 
 def test_criterion_5_exact_dispersive_convergence():
     field = coherent_state(ALPHA, 96)
-    weights = np.abs(field.amps) ** 2
+    weights = np.abs(field) ** 2
     devs, leaks = [], []
     for ratio in (50.0, 100.0, 200.0, 400.0):
         worst = 0.0
@@ -112,8 +112,8 @@ def test_criterion_5_exact_dispersive_convergence():
             sd, cd, _ = branch_multipliers(0.0, params, 96)[level]
             se, ce, leak = branch_multipliers(0.0, params, 96, mode="exact")[level]
             worst = max(worst,
-                        float(np.max(np.abs((sd - se) * field.amps))),
-                        float(np.max(np.abs((cd - ce) * field.amps))))
+                        float(np.max(np.abs((sd - se) * field))),
+                        float(np.max(np.abs((cd - ce) * field))))
             leak_worst = max(leak_worst, float(np.sum(leak * weights)))
         devs.append(worst)
         leaks.append(leak_worst)
@@ -125,9 +125,8 @@ def test_criterion_5_exact_dispersive_convergence():
 
 def test_criterion_6_stage1_fresnel_oracle(stage1_results):
     pattern = stage1_results["V1"].pattern
-    geom = SlitGeometry()
-    oracle = two_slit_intensity(GridSpec(), (geom.x_top, geom.x_bottom),
-                                (INV_SQRT2, INV_SQRT2), geom.sigma, 3.0)
+    oracle = two_slit_intensity(GridSpec(), (X_TOP, X_BOTTOM),
+                                (INV_SQRT2, INV_SQRT2), SIGMA, 3.0)
     err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
     report(6, "stage-1 pattern matches the closed-form two-slit solution",
            err < 1e-6, f"L2 error {err:.2e}")
@@ -154,7 +153,7 @@ def test_criterion_8_eraser_restoration(stage1_results):
 
 def test_criterion_9_which_path_readout(stage2_v1_state):
     grid = GridSpec()
-    mid = SlitGeometry().midpoint
+    mid = MIDPOINT
     weights = {}
     for chi in (-ALPHA, ALPHA):
         rho, _ = condition_on_quadrature(stage2_v1_state, QuadratureSpec(0.0, chi))
@@ -197,11 +196,10 @@ def test_criterion_12_propagation_invariants(stage2_v1_state):
     purity_drift = abs(out.purity() - rho.purity())
 
     # parity: mirror-symmetric grid about the slit midpoint
-    geom = SlitGeometry()
     n, width = 4096, 13.0
     delta = 2.0 * width / (n - 1)
-    grid = GridSpec(geom.midpoint - width, geom.midpoint + width + delta, n)
-    sym = build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), geom, 0.0, grid, 4)
+    grid = GridSpec(MIDPOINT - width, MIDPOINT + width + delta, n)
+    sym = build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), 0.0, grid, 4)
     pattern = screen_distribution(free_propagate(trace_out_field(sym), 3.0))
     asym = float(np.max(np.abs(pattern.intensity - pattern.intensity[::-1])))
 

@@ -9,9 +9,9 @@ from analytic import evolved_gaussian, gaussian_spread_sigma, pattern_l2, two_sl
 from duality_sim.errors import GridError, UndefinedVisibilityError
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import QuadratureSpec
-from duality_sim.interferometer import (AtomDensity, GridSpec, PreparationParams,
-                                        SlitGeometry, build_initial, condition_on_quadrature,
-                                        interact, trace_out_field)
+from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
+                                        GridSpec, PreparationParams, build_initial,
+                                        condition_on_quadrature, interact, trace_out_field)
 from duality_sim.propagation import (DISPERSION_RATE, WAVELENGTH, ScreenPattern,
                                      free_propagate, fringe_visibility,
                                      screen_distribution)
@@ -20,44 +20,44 @@ ALPHA = math.sqrt(8.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def single_packet_density(default_grid, geometry, t_prime):
+def single_packet_density(default_grid, t_prime):
     prep = PreparationParams(1.0, 0.0, 0.0)
-    rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
+    rho = trace_out_field(build_initial(prep, 0.0, default_grid, 4))
     out = free_propagate(rho, t_prime)
     return out, out.diagonal().sum(axis=1)
 
 
 class TestFreePropagate:
-    def test_zero_time_is_identity(self, default_grid, geometry):
+    def test_zero_time_is_identity(self, default_grid):
         rho = trace_out_field(build_initial(
-            PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), geometry, 0.0, default_grid, 4))
+            PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), 0.0, default_grid, 4))
         out = free_propagate(rho, 0.0)
         assert np.max(np.abs(out.factors - rho.factors)) < 1e-14
 
     @pytest.mark.parametrize("t_prime", [0.5, 1.0, 3.0])
-    def test_gaussian_spreading_oracle(self, default_grid, geometry, t_prime):
-        out, dens = single_packet_density(default_grid, geometry, t_prime)
+    def test_gaussian_spreading_oracle(self, default_grid, t_prime):
+        out, dens = single_packet_density(default_grid, t_prime)
         x = default_grid.x
         dx = default_grid.dx
         mean = float(np.sum(x * dens)) * dx
         sigma = math.sqrt(float(np.sum((x - mean) ** 2 * dens)) * dx)
-        predicted = gaussian_spread_sigma(geometry.sigma, t_prime)
+        predicted = gaussian_spread_sigma(SIGMA, t_prime)
         assert abs(sigma - predicted) / predicted < 1e-3
 
-    def test_norm_and_purity_invariant(self, default_grid, geometry):
+    def test_norm_and_purity_invariant(self, default_grid):
         state = interact(
             build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
-                          geometry, ALPHA, default_grid, 96),
+                          ALPHA, default_grid, 96),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
         rho = trace_out_field(state)
         out = free_propagate(rho, 3.0)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert abs(out.purity() - rho.purity()) < 1e-10
 
-    def test_flight_is_the_spectral_kernel_bit_for_bit(self, default_grid, geometry):
+    def test_flight_is_the_spectral_kernel_bit_for_bit(self, default_grid):
         state = interact(
             build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
-                          geometry, ALPHA, default_grid, 48),
+                          ALPHA, default_grid, 48),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
         rho = trace_out_field(state)
         flight = 12.0  # long enough to put weight on the grid edge
@@ -71,9 +71,9 @@ class TestFreePropagate:
         assert edge > 0.0
         assert np.array_equal(out.boundary_weight(), edge)
 
-    def test_grid_too_small_raises(self, default_grid, geometry):
+    def test_grid_too_small_raises(self, default_grid):
         rho = trace_out_field(build_initial(
-            PreparationParams(1.0, 0.0, 0.0), geometry, 0.0, default_grid, 4))
+            PreparationParams(1.0, 0.0, 0.0), 0.0, default_grid, 4))
         with pytest.raises(GridError):
             free_propagate(rho, 30.0)
 
@@ -83,13 +83,13 @@ class TestFreePropagate:
         with pytest.raises(GridError):
             free_propagate(rho, 1.0)
 
-    def test_propagate_then_trace_equals_trace_then_propagate(self, geometry):
+    def test_propagate_then_trace_equals_trace_then_propagate(self):
         # conjugating the traced state is the same as evolving every Fock
         # slice of the joint state and tracing afterwards
         grid = GridSpec(-6.0, 8.0, 1024)
         state = interact(
             build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
-                          geometry, 1.0, grid, 24),
+                          1.0, grid, 24),
             InteractionParams(epsilon=0.0, theta_int=math.pi))
         flight = 1.0
         pat_a = screen_distribution(free_propagate(trace_out_field(state), flight))
@@ -100,36 +100,36 @@ class TestFreePropagate:
         amps[state.start:state.stop] = state.amps
         evolved = np.fft.ifft(kernel[:, None, None] * np.fft.fft(amps, axis=0), axis=0)
         from duality_sim.interferometer import JointState
-        moved = JointState(grid=grid, geometry=geometry, amps=evolved)
+        moved = JointState(grid=grid, amps=evolved)
         pat_b = screen_distribution(trace_out_field(moved))
         assert pattern_l2(pat_a, pat_b) < 1e-12
 
 
 class TestScreenDistribution:
-    def test_axis_in_wavelengths_and_normalised(self, default_grid, geometry):
-        out, _ = single_packet_density(default_grid, geometry, 3.0)
+    def test_axis_in_wavelengths_and_normalised(self, default_grid):
+        out, _ = single_packet_density(default_grid, 3.0)
         pattern = screen_distribution(out)
         assert pattern.x_axis[0] == pytest.approx(default_grid.x_min / WAVELENGTH)
         assert float(np.sum(pattern.intensity)) * pattern.dx == pytest.approx(1.0, abs=1e-9)
 
-    def test_two_slit_oracle(self, default_grid, geometry):
+    def test_two_slit_oracle(self, default_grid):
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
-        rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
+        rho = trace_out_field(build_initial(prep, 0.0, default_grid, 4))
         pattern = screen_distribution(free_propagate(rho, 3.0))
-        oracle = two_slit_intensity(default_grid, (geometry.x_top, geometry.x_bottom),
-                                    (INV_SQRT2, INV_SQRT2), geometry.sigma, 3.0)
+        oracle = two_slit_intensity(default_grid, (X_TOP, X_BOTTOM),
+                                    (INV_SQRT2, INV_SQRT2), SIGMA, 3.0)
         err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
         assert err < 1e-6
 
-    def test_symmetric_preparation_gives_symmetric_pattern(self, geometry):
+    def test_symmetric_preparation_gives_symmetric_pattern(self):
         # grid chosen so mirror pairs about the slit midpoint are sample points
-        mid = geometry.midpoint
+        mid = MIDPOINT
         n = 4096
         width = 13.0
         delta = 2.0 * width / (n - 1)
         grid = GridSpec(mid - width, mid + width + delta, n)
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
-        rho = trace_out_field(build_initial(prep, geometry, 0.0, grid, 4))
+        rho = trace_out_field(build_initial(prep, 0.0, grid, 4))
         pattern = screen_distribution(free_propagate(rho, 3.0))
         assert np.max(np.abs(pattern.intensity - pattern.intensity[::-1])) < 1e-8
 
@@ -157,21 +157,20 @@ def test_fresnel_oracle_for_weighted_superpositions(w, rel_phase, t_prime):
     # any two-Gaussian superposition with a constant relative phase matches
     # the closed-form free evolution
     grid = GridSpec()
-    geometry = SlitGeometry()
     weights = (math.sqrt(w), math.sqrt(1.0 - w) * np.exp(1j * rel_phase))
     prep = PreparationParams(weights[0], weights[1], 0.0)
-    rho = trace_out_field(build_initial(prep, geometry, 0.0, grid, 4))
+    rho = trace_out_field(build_initial(prep, 0.0, grid, 4))
     pattern = screen_distribution(free_propagate(rho, t_prime))
-    oracle = two_slit_intensity(grid, (geometry.x_top, geometry.x_bottom),
-                                weights, geometry.sigma, t_prime)
+    oracle = two_slit_intensity(grid, (X_TOP, X_BOTTOM),
+                                weights, SIGMA, t_prime)
     err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
     assert err < 1e-6
 
 
 @pytest.fixture(scope="module")
-def fringed(default_grid, geometry):
+def fringed(default_grid):
     prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
-    rho = trace_out_field(build_initial(prep, geometry, 0.0, default_grid, 4))
+    rho = trace_out_field(build_initial(prep, 0.0, default_grid, 4))
     return screen_distribution(free_propagate(rho, 3.0))
 
 
@@ -185,8 +184,8 @@ class TestFringeVisibility:
         wide = fringe_visibility(fringed, (0.125 - 1.0, 0.125 + 1.0))
         assert wide < fringe_visibility(fringed)
 
-    def test_fringe_free_pattern_is_undefined(self, default_grid, geometry):
-        out, _ = single_packet_density(default_grid, geometry, 3.0)
+    def test_fringe_free_pattern_is_undefined(self, default_grid):
+        out, _ = single_packet_density(default_grid, 3.0)
         with pytest.raises(UndefinedVisibilityError):
             fringe_visibility(screen_distribution(out))
 
@@ -194,10 +193,10 @@ class TestFringeVisibility:
         with pytest.raises(UndefinedVisibilityError):
             fringe_visibility(fringed, (0.125, 0.1251))
 
-    def test_partial_contrast(self, default_grid, geometry):
+    def test_partial_contrast(self, default_grid):
         # traced single-photon-level field: contrast should sit near e^{-2}
         prep = PreparationParams(INV_SQRT2, INV_SQRT2, 0.0)
-        state = interact(build_initial(prep, geometry, 1.0, default_grid, 48),
+        state = interact(build_initial(prep, 1.0, default_grid, 48),
                          InteractionParams(epsilon=0.0, theta_int=math.pi))
         pattern = screen_distribution(free_propagate(trace_out_field(state), 3.0))
         assert fringe_visibility(pattern) == pytest.approx(math.exp(-2.0), abs=0.02)

@@ -20,8 +20,8 @@ from conftest import SMALL_NUMERIC
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import QuadratureSpec, coherent_state
-from duality_sim.interferometer import (LEVEL_INDEX, AtomDensity, GridSpec, JointState,
-                                        PreparationParams, SlitGeometry, _slit_profile,
+from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, X_BOTTOM, X_TOP, AtomDensity,
+                                        GridSpec, JointState, PreparationParams, _slit_profile,
                                         build_initial, condition_on_quadrature, field_density,
                                         interact, quadrature_pdf, trace_out_field)
 from duality_sim.propagation import free_propagate, screen_distribution
@@ -48,7 +48,7 @@ def kicked_states(draw):
                                theta_int=draw(st.floats(0.1, 2.0 * math.pi)))
     mode = draw(st.sampled_from(["dispersive", "exact"]))
     kick = draw(st.sampled_from(["slit", "local"]))
-    state = build_initial(prep, SlitGeometry(), alpha, GRID, N_MAX, tail_tol=TAIL_TOLERANCE)
+    state = build_initial(prep, alpha, GRID, N_MAX, tail_tol=TAIL_TOLERANCE)
     return state, params, mode, kick
 
 
@@ -56,14 +56,13 @@ def full_grid(state):
     """The same state with a row for every grid point (start = 0)."""
     amps = np.zeros((state.grid.n_points,) + state.amps.shape[1:], dtype=complex)
     amps[state.start:state.stop] = state.amps
-    return JointState(grid=state.grid, geometry=state.geometry, amps=amps)
+    return JointState(grid=state.grid, amps=amps)
 
 
 def interact_at_every_point(state, params, mode, kick):
     """The interaction with its multipliers evaluated at every row."""
     x = state.x
-    geom = state.geometry
-    xs = x if kick == "local" else np.where(x < geom.midpoint, geom.x_top, geom.x_bottom)
+    xs = x if kick == "local" else np.where(x < MIDPOINT, X_TOP, X_BOTTOM)
     stay_b, cross_b, _ = branch_multipliers(xs, params, state.n_max, mode)["b"]
     stay_c, cross_c, _ = branch_multipliers(xs, params, state.n_max, mode)["c"]
     in_b = state.amps[:, LEVEL_INDEX["b"], :]
@@ -111,14 +110,14 @@ def test_true_rank_factors_match_the_fock_slices(case):
 
 def test_rank_is_one_without_the_field():
     prep = PreparationParams(0.6, 0.8, 1.1)
-    rho = trace_out_field(build_initial(prep, SlitGeometry(), 0.0, GRID, N_MAX))
+    rho = trace_out_field(build_initial(prep, 0.0, GRID, N_MAX))
     assert rho.rank == 1
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_which_path_record_has_rank_two():
     prep = PreparationParams(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
-    state = interact(build_initial(prep, SlitGeometry(), math.sqrt(8.0), GRID, N_MAX),
+    state = interact(build_initial(prep, math.sqrt(8.0), GRID, N_MAX),
                      InteractionParams(epsilon=0.0, theta_int=math.pi))
     assert trace_out_field(state).rank == 2
 
@@ -127,10 +126,10 @@ def test_discarded_weight_above_tolerance_raises():
     # a second Schmidt direction of relative weight 1e-16 sits below the
     # rounding cut, so it is dropped and reported rather than kept
     prep = PreparationParams(1.0, 0.0, 0.0)
-    state = build_initial(prep, SlitGeometry(), 0.0, GRID, N_MAX)
+    state = build_initial(prep, 0.0, GRID, N_MAX)
     amps = state.amps.copy()
     amps[:, LEVEL_INDEX["b"], 1] = 1e-8 * amps[:, LEVEL_INDEX["c"], 0]
-    faint = JointState(grid=state.grid, geometry=state.geometry, amps=amps, start=state.start)
+    faint = JointState(grid=state.grid, amps=amps, start=state.start)
     rho = trace_out_field(faint)
     assert rho.rank == 1
     assert rho.discarded_weight == pytest.approx(1e-16, rel=1e-6)
@@ -146,15 +145,14 @@ def test_discarded_weight_above_tolerance_raises():
     (1.0, 0.0, math.pi / 2),
 ])
 def test_window_is_the_nonzero_span_of_the_slit_profiles(c_up, c_down, phi):
-    geom = SlitGeometry()
-    state = build_initial(PreparationParams(c_up, c_down, phi), geom, 1.5, GRID, N_MAX)
-    ground = (c_up * math.cos(phi) * _slit_profile(GRID, geom.x_top, geom.sigma)
-              + c_down * _slit_profile(GRID, geom.x_bottom, geom.sigma))
-    mixed = c_up * math.sin(phi) * _slit_profile(GRID, geom.x_top, geom.sigma)
+    state = build_initial(PreparationParams(c_up, c_down, phi), 1.5, GRID, N_MAX)
+    ground = (c_up * math.cos(phi) * _slit_profile(GRID, X_TOP)
+              + c_down * _slit_profile(GRID, X_BOTTOM))
+    mixed = c_up * math.sin(phi) * _slit_profile(GRID, X_TOP)
     nonzero = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
     assert (state.start, state.stop) == (nonzero[0], nonzero[-1] + 1)
     # embedded into the full grid, the window is the full-grid build, bit for bit
-    c_m = coherent_state(1.5, N_MAX).amps
+    c_m = coherent_state(1.5, N_MAX)
     full = full_grid(state).amps
     assert np.array_equal(full[:, LEVEL_INDEX["c"], :], np.outer(ground, c_m))
     assert np.array_equal(full[:, LEVEL_INDEX["b"], :], np.outer(mixed, c_m))
@@ -175,7 +173,7 @@ def test_windowed_interaction_matches_the_full_grid(case):
 
 
 # a weak kick leaves a flat peak, where the two most-probable searches part
-WEAK_KICK = (build_initial(PreparationParams(1.0, 0.0, 0.0), SlitGeometry(), 0.5, GRID, N_MAX),
+WEAK_KICK = (build_initial(PreparationParams(1.0, 0.0, 0.0), 0.5, GRID, N_MAX),
              InteractionParams(epsilon=0.0, theta_int=0.1), "dispersive", "slit")
 
 
@@ -254,7 +252,7 @@ def test_most_probable_chi_is_the_joint_state_search(case, theta):
 def test_most_probable_chi_of_the_reference_configs(theta):
     # the stage-2 VDC X and Y readouts that bench/reference.npz pins
     config = ExperimentConfig.from_dict({"stage": 2, "case": "VDC"})
-    state = build_initial(config.case, SlitGeometry(), config.alpha,
+    state = build_initial(config.case, config.alpha,
                           config.numeric.grid, config.numeric.n_max)
     state = interact(state, config.interaction_params())
     assert most_probable_chi(state, theta) == golden_section_chi(state, theta)

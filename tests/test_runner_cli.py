@@ -113,7 +113,8 @@ class TestRun:
     def test_diagnostics_report_the_initial_fock_tail(self, tmp_path):
         numeric = {**SMALL_NUMERIC, "n_max": 20, "tail_tolerance": 1e-2}
         result = run(small_config(stage=2, numeric=numeric))
-        tail = 1.0 - coherent_state(ALPHA, 20).norm_sq()
+        field = coherent_state(ALPHA, 20)
+        tail = 1.0 - float(np.vdot(field, field).real)
         assert 1e-4 < tail < 1e-2
         assert result.diagnostics["initial_fock_tail"] == tail
         result.write(tmp_path)
@@ -125,9 +126,9 @@ class TestRun:
         {"type": "quadrature", "theta": 0.0, "chi": "most-probable"},
         {"type": "quadrature", "theta": 0.0, "chi": 1.0},
     ])
-    def test_post_interaction_norm_is_the_state_norm(self, geometry, readout):
+    def test_post_interaction_norm_is_the_state_norm(self, readout):
         config = small_config(stage=3, epsilon=3.0, readout=readout)
-        state = build_initial(config.case, geometry, config.alpha,
+        state = build_initial(config.case, config.alpha,
                               config.numeric.grid, config.numeric.n_max)
         state = interact(state, config.interaction_params())
         assert run(config).diagnostics["post_interaction_norm_sq"] == pytest.approx(
@@ -158,13 +159,13 @@ class TestRun:
         assert abs(abs(chi) - ALPHA) < 0.05
         assert result.diagnostics["readout"]["outcome_density"] > 0.0
 
-    def test_most_probable_chi_deterministic(self, geometry):
+    def test_most_probable_chi_deterministic(self):
         from duality_sim.evolution import InteractionParams
         from duality_sim.interferometer import (GridSpec, PreparationParams,
                                                 build_initial, interact)
         grid = GridSpec(**SMALL_NUMERIC["grid"])
         prep = PreparationParams(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)
-        state = interact(build_initial(prep, geometry, ALPHA, grid, 48),
+        state = interact(build_initial(prep, ALPHA, grid, 48),
                          InteractionParams(epsilon=0.0, theta_int=math.pi))
         a = most_probable_chi(state, math.pi / 2)
         b = most_probable_chi(state, math.pi / 2)
@@ -230,24 +231,24 @@ class TestSweep:
         from duality_sim.runner import QGRID_AXIS
         base = small_config(stage=3)
         point = epsilon_sweep(base, [0.0], "b")[0]
-        amps = coherent_state(ALPHA, SMALL_NUMERIC["n_max"]).amps
+        amps = coherent_state(ALPHA, SMALL_NUMERIC["n_max"])
         ref = husimi_q(np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real),
                        QGRID_AXIS, QGRID_AXIS)
         assert np.max(np.abs(point.qgrid.values - ref.values)) < 1e-12
         i, j = np.unravel_index(np.argmax(point.qgrid.values), point.qgrid.values.shape)
         assert abs(QGRID_AXIS[i] - ALPHA) <= 0.1 and abs(QGRID_AXIS[j]) <= 0.1
 
-    def test_overlap_and_grid_come_from_the_field_density(self, geometry):
+    def test_overlap_and_grid_come_from_the_field_density(self):
         from duality_sim.fock import coherent_state, husimi_q
         from duality_sim.interferometer import (PreparationParams, build_initial,
                                                 field_density, interact)
         from duality_sim.runner import QGRID_AXIS
         base = small_config(stage=3, epsilon=3.0)
         point = epsilon_sweep(base, [3.0], "b")[0]
-        state = build_initial(PreparationParams(1.0, 0.0, math.pi / 2.0), geometry, ALPHA,
+        state = build_initial(PreparationParams(1.0, 0.0, math.pi / 2.0), ALPHA,
                               base.numeric.grid, base.numeric.n_max)
         rho_f = field_density(interact(state, base.interaction_params()))
-        amps = coherent_state(ALPHA, base.numeric.n_max).amps
+        amps = coherent_state(ALPHA, base.numeric.n_max)
         assert point.overlap_with_initial == pytest.approx(
             float(np.real(amps.conj() @ rho_f @ amps)), abs=1e-14)
         assert np.array_equal(point.qgrid.values,
@@ -417,7 +418,14 @@ class TestCli:
         {"case": {"c_up": 1.0, "c_down": 0.0, "phi": "0"}},
         {"stage": 3, "epsilon": ["1", "2"]},
         {"numeric": {"grid": {"x_min": "-12"}}},
+        # grids that do not sample the slit packets: their weight on the grid is not 1
+        # (the squares in the +-1e300 grid's profiles used to overflow)
+        {"numeric": {"grid": {"n_points": 128}}},
+        {"numeric": {"grid": {"n_points": 64}}},
+        {"numeric": {"grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 16}}},
+        {"numeric": {"grid": {"x_min": -1e308, "x_max": 1e308}}},  # the span overflows
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_exit_code(self, tmp_path, overrides):
         data = {"stage": 2, "case": "V1", **overrides}
         cfg = self.write_cfg(tmp_path, data)
@@ -440,11 +448,16 @@ class TestCli:
         {"mode": "exact", "numeric": {"detuning_ratio": 1e300},
          "readout": {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}},
         {"theta_int": 1e300},
+        # at this boundary tolerance only the flight's phase limit refuses these
+        {"stage": 2, "t_prime": 1e8,
+         "numeric": {"n_max": 32, "grid": {"n_points": 1024}, "boundary_tolerance": 1.0}},
+        {"stage": 2, "t_prime": 1e300,
+         "numeric": {"n_max": 32, "grid": {"n_points": 1024}, "boundary_tolerance": 1.0}},
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_interaction_exit_code(self, tmp_path, capsys, overrides):
-        # |epsilon|^2 overflows, or an interaction phase is beyond the kernel's limit;
-        # either fails before any multiplier is evaluated
+        # |epsilon|^2 overflows, or an interaction or flight phase is beyond the
+        # limit; an interaction fails before any multiplier is evaluated
         data = {"stage": 3, "case": "V1", **overrides}
         cfg = self.write_cfg(tmp_path, data)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
@@ -463,25 +476,35 @@ NUMBERS = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0)
 PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
 
 
-@st.composite
-def run_configs(draw):
-    """A run config of drawn keys: sampled names, edge-case or uniform numbers."""
-    def some(strategies):
-        return {key: draw(value) for key, value in strategies.items()
-                if draw(st.integers(0, 2)) == 0}
+def some(draw, strategies):
+    """Each key drawn with probability 1/3."""
+    return {key: draw(value) for key, value in strategies.items()
+            if draw(st.integers(0, 2)) == 0}
 
-    grid = {"n_points": draw(st.integers(16, 512)), **some({"x_min": NUMBERS, "x_max": NUMBERS})}
+
+@st.composite
+def run_configs(draw, grids=None):
+    """A run config of drawn keys: sampled names, edge-case or uniform numbers.
+
+    grids, if given, draws the whole grid object.
+    """
+    if grids is None:
+        grid = {"n_points": draw(st.integers(16, 512)),
+                **some(draw, {"x_min": NUMBERS, "x_max": NUMBERS})}
+    else:
+        grid = draw(grids)
     numeric = {"n_max": draw(st.integers(1, 24)), "grid": grid,
-               **some({"tail_tolerance": NUMBERS, "boundary_tolerance": NUMBERS,
-                       "detuning_ratio": NUMBERS})}
+               **some(draw, {"tail_tolerance": NUMBERS, "boundary_tolerance": NUMBERS,
+                             "detuning_ratio": NUMBERS})}
     readout = st.just("trace") | st.fixed_dictionaries({
         "type": st.just("quadrature"), "theta": NUMBERS,
         "chi": NUMBERS | st.just("most-probable")})
     return {"stage": draw(st.sampled_from([1, 2, 3])),
             "case": draw(st.sampled_from(SPHERE_CASE_NAMES)), "numeric": numeric,
-            **some({"alpha": NUMBERS | PAIRS, "epsilon": NUMBERS | PAIRS, "theta_int": NUMBERS,
-                    "t_prime": NUMBERS, "mode": st.sampled_from(["dispersive", "exact"]),
-                    "kick": st.sampled_from(["slit", "local"]), "readout": readout})}
+            **some(draw, {"alpha": NUMBERS | PAIRS, "epsilon": NUMBERS | PAIRS,
+                          "theta_int": NUMBERS, "t_prime": NUMBERS,
+                          "mode": st.sampled_from(["dispersive", "exact"]),
+                          "kick": st.sampled_from(["slit", "local"]), "readout": readout})}
 
 
 def json_numbers(value):
@@ -503,13 +526,67 @@ def json_numbers(value):
 @example(data={"stage": 2, "case": "V1", "alpha": 1e5,
                "numeric": {"n_max": 8, "tail_tolerance": 3.0}})
 def test_any_run_config_exits_with_a_documented_code(data):
+    assert_documented_exit(["run"], data)
+
+
+def assert_documented_exit(command, data):
+    """The command on a config file of data exits 0, 2 or 3; on 0 it wrote only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(data))
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        code = main([*command, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)
         if code == 0:
-            assert np.isfinite(np.loadtxt(out / "pattern.csv", delimiter=",", skiprows=1)).all()
-            for name in ("metrics.json", "diagnostics.json"):
-                numbers = json_numbers(json.loads((out / name).read_text()))
-                assert all(math.isfinite(n) for n in numbers), name
+            written = sorted(out.rglob("*.*"))
+            assert written
+            for path in written:
+                if path.suffix == ".csv":
+                    assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path
+                else:
+                    numbers = json_numbers(json.loads(path.read_text()))
+                    assert all(math.isfinite(n) for n in numbers), path
+
+
+# base configs at small numerics: a grid that samples the slit packets, one
+# too coarse to, and one whose profile squares used to overflow
+BASE_GRIDS = st.sampled_from([{"n_points": 1024}, {"n_points": 64},
+                              {"x_min": -1e300, "x_max": 1e300, "n_points": 16}])
+
+
+def flags(draw, strategies):
+    """--name=value for each drawn flag; = keeps a negative value from reading as an option."""
+    return [f"--{name}={value!r}" for name, value in some(draw, strategies).items()]
+
+
+@st.composite
+def sweep_commands(draw):
+    values = ",".join(map(repr, draw(st.lists(NUMBERS, min_size=1, max_size=3))))
+    return ["sweep-epsilon", f"--level={draw(st.sampled_from(['b', 'c']))}",
+            f"--values={values}", *flags(draw, {"alpha": NUMBERS})]
+
+
+@st.composite
+def sphere_commands(draw):
+    return ["sphere", f"--stage={draw(st.sampled_from([1, 2, 3]))}",
+            *flags(draw, {"alpha": NUMBERS, "epsilon": NUMBERS, "t-prime": NUMBERS})]
+
+
+# the slit profiles on this grid overflowed (a RuntimeWarning) before the run exited
+HUGE_GRID_BASE = {"stage": 1, "case": "V1",
+                  "numeric": {"n_max": 4, "grid": {"x_min": -1e300, "x_max": 1e300,
+                                                   "n_points": 16}}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=sweep_commands(), data=run_configs(grids=BASE_GRIDS))
+@example(command=["sweep-epsilon", "--level=b", "--values=0.0", "--alpha=0.0"],
+         data=HUGE_GRID_BASE)
+def test_any_sweep_exits_with_a_documented_code(command, data):
+    assert_documented_exit(command, data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=sphere_commands(), data=run_configs(grids=BASE_GRIDS))
+@example(command=["sphere", "--stage=1"], data=HUGE_GRID_BASE)
+def test_any_sphere_suite_exits_with_a_documented_code(command, data):
+    assert_documented_exit(command, data)

@@ -4,12 +4,13 @@ The atomic transverse coordinate lives on a uniform grid (units of 1/k_c,
 so the classical wavelength is 2 pi).  The top slit sits on the common
 antinode at X_TOP = 0, the bottom slit on the common node at X_BOTTOM = pi/2,
 and each slit launches a Gaussian packet of width SIGMA.  The joint state is a
-complex array indexed (grid row, level in {b, c}, Fock index) over its
-support window: the span of grid rows on which the slit packets are
-nonzero (beyond a few sigma the Gaussians underflow to exactly 0.0).  The
-interaction is diagonal in position, so it keeps the window, and every
-readout reduces over the window rows only.  The atomic state that leaves
-a readout is embedded into the full periodic grid for the free flight.
+complex array indexed (grid row, level in {b, c}, Fock index) that carries
+only weight above WEIGHT_FLOOR = eps^2: the window of rows within ~12 sigma
+of the slits, and the Fock columns that hold the coherent state (build_initial
+reports and checks what is left out).  The interaction is diagonal in
+position, so it keeps the window, and every readout reduces over the window
+rows only.  The atomic state that leaves a readout is embedded into the full
+periodic grid for the free flight.
 
 Readouts reduce the field:
 
@@ -45,9 +46,10 @@ X_TOP = 0.0
 X_BOTTOM = math.pi / 2.0
 SIGMA = 0.05
 MIDPOINT = 0.5 * (X_TOP + X_BOTTOM)
+WEIGHT_FLOOR = np.finfo(float).eps ** 2  # weight below this is not carried
 
 __all__ = [
-    "X_TOP", "X_BOTTOM", "SIGMA", "MIDPOINT",
+    "X_TOP", "X_BOTTOM", "SIGMA", "MIDPOINT", "WEIGHT_FLOOR",
     "GridSpec",
     "PreparationParams",
     "JointState",
@@ -113,8 +115,8 @@ class JointState:
 
     amps covers the grid rows [start, stop); the state is zero on every
     other row.  start = 0 with one row per grid point is the full grid.
-    fock_tail is the initial coherent state's weight beyond the Fock
-    truncation, 1 - ||c||^2; leak and truncation_loss are interact's losses.
+    fock_tail = 1 - ||c||^2 and window_tail are the initial weight outside the
+    carried Fock columns and rows; leak and truncation_loss are interact's losses.
     amps must not change once field_gram is read.
     """
 
@@ -122,6 +124,7 @@ class JointState:
     amps: np.ndarray
     start: int = 0
     fock_tail: float = 0.0
+    window_tail: float = 0.0
     leak: float = 0.0
     truncation_loss: float = 0.0
 
@@ -208,12 +211,13 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
                   tail_tol: float = 1e-9) -> JointState:
     """Two slit packets, correlated internal states, and a coherent field.
 
-    The state covers the grid rows from the first to the last one where a
-    packet is nonzero; the cut is at exact zero, so nothing is dropped.
-    The coherent state's weight beyond the Fock truncation is lost from the
-    start; above tail_tol that raises TruncationError.  A grid on which the
-    packets' weight, norm / (1 - fock_tail), is not 1 within tail_tol does
-    not sample them: ConfigError.
+    The state covers the grid rows from the first to the last one where the
+    packet density exceeds WEIGHT_FLOOR times its peak, and the Fock columns
+    up to the first whose coherent tail weight is at most WEIGHT_FLOOR, plus
+    one; n_max is a ceiling.  The weight left out, fock_tail (including the
+    coherent state's weight beyond n_max) and window_tail, raises
+    TruncationError above tail_tol.  A grid on which the packets' weight is
+    not 1 within tail_tol does not sample them: ConfigError.
     """
     margin = 6.0 * SIGMA
     if grid.x_min > X_TOP - margin or grid.x_max < X_BOTTOM + margin:
@@ -225,24 +229,34 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
             f"the coherent state leaves {missing:.3e} weight beyond {n_max} Fock states "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
+    tails = np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1]  # tails[m] = sum_{k >= m} |c_k|^2
+    c_m = c_m[:min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, n_max)]
     g_top = _slit_profile(grid, X_TOP)
     phi = float(prep.phi)
     ground = prep.c_up * math.cos(phi) * g_top + prep.c_down * _slit_profile(grid, X_BOTTOM)
     mixed = prep.c_up * math.sin(phi) * g_top
-    edge = max(abs(ground[0]) ** 2 + abs(mixed[0]) ** 2,
-               abs(ground[-1]) ** 2 + abs(mixed[-1]) ** 2)
+    density = np.abs(ground) ** 2 + np.abs(mixed) ** 2
+    edge = max(density[0], density[-1])
     if edge > 1e-8:
         raise ConfigError(f"slit packets reach the grid boundary (density {edge:.2e})")
-    weight = float(np.sum(np.abs(ground) ** 2 + np.abs(mixed) ** 2)) * grid.dx
-    support = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
+    weight = float(np.sum(density)) * grid.dx
+    support = np.flatnonzero(density > WEIGHT_FLOOR * np.max(density))
     if support.size == 0 or not abs(weight - 1.0) <= tail_tol:  # NaN fails too
         raise ConfigError(f"the grid does not resolve the slits: the packets' weight on it is "
                           f"{weight:.3e}, not 1 within {tail_tol:.1e}")
     start, stop = int(support[0]), int(support[-1]) + 1
-    amps = np.empty((stop - start, 2, n_max), dtype=complex)
+    fock_tail = 1.0 - float(np.vdot(c_m, c_m).real)
+    window_tail = (float(np.sum(density[:start])) + float(np.sum(density[stop:]))) * grid.dx
+    for lost, where in ((fock_tail, f"beyond {c_m.size} Fock states"),
+                        (window_tail, f"outside grid rows [{start}, {stop})")):
+        if not lost <= tail_tol:  # NaN fails too
+            raise TruncationError(f"the initial state leaves {lost:.3e} weight {where} "
+                                  f"(tolerance {tail_tol:.1e})")
+    amps = np.empty((stop - start, 2, c_m.size), dtype=complex)
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
     amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
-    return JointState(grid=grid, amps=amps, start=start, fock_tail=missing)
+    return JointState(grid=grid, amps=amps, start=start, fock_tail=fock_tail,
+                      window_tail=window_tail)
 
 
 def interact(state: JointState, params: InteractionParams, mode: str = "dispersive",

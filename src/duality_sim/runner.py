@@ -96,8 +96,8 @@ class NumericSpec:
 
     def __post_init__(self):
         _require(self.n_max >= 1, "numeric.n_max must be at least 1")
-        _require(0.0 < self.tail_tolerance < math.inf,
-                 "numeric.tail_tolerance must be positive and finite")
+        _require(0.0 < self.tail_tolerance < 1.0,  # at 1 no weight check could fire
+                 "numeric.tail_tolerance must lie in (0, 1)")
         _require(0.0 < self.boundary_tolerance < math.inf,
                  "numeric.boundary_tolerance must be positive and finite")
         _require(0.0 < self.detuning_ratio < math.inf,
@@ -340,7 +340,7 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
 def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> JointState:
     """build -> interact: the joint state leaving the cavities (stage 1 has none).
 
-    diagnostics, if given, receives the initial norm, Fock tail and support rows.
+    diagnostics, if given, receives the initial norm and the carried columns, rows and tails.
     """
     tail_tol = config.numeric.tail_tolerance
     alpha = 0.0 if config.stage == 1 else config.alpha
@@ -348,7 +348,8 @@ def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> J
                           tail_tol=tail_tol)
     if diagnostics is not None:  # the norm is a pass over the state; the sweep reports none
         diagnostics.update(initial_norm_sq=state.norm_sq(), initial_fock_tail=state.fock_tail,
-                           support_rows=[state.start, state.stop])
+                           fock_columns=state.n_max, support_rows=[state.start, state.stop],
+                           initial_window_tail=state.window_tail)
     if config.stage >= 2:
         state = interact(state, config.interaction_params(), mode=config.mode,
                          kick=config.kick, tail_tol=tail_tol)

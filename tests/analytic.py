@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
-from duality_sim.fock import quadrature_projectors
+from duality_sim.fock import coherent_state, quadrature_projectors
+from duality_sim.interferometer import LEVEL_INDEX, X_BOTTOM, X_TOP, JointState, _slit_profile
 from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, fringe_visibility
 
 
@@ -83,6 +84,24 @@ def dense_husimi(rho: np.ndarray, betas) -> np.ndarray:
     """Q(beta) = c(beta)^dag rho c(beta) / pi from the dense coherent matrix."""
     cmat = coherent_matrix(betas, rho.shape[0])
     return np.sum(cmat.conj() * (rho @ cmat), axis=0).real / math.pi
+
+
+def uncut_initial(prep, alpha, grid, n_max: int):
+    """The initial joint state before the cut at the weight floor.
+
+    It covers every row where a slit packet is exactly nonzero, at all n_max
+    Fock columns.
+    """
+    g_top = _slit_profile(grid, X_TOP)
+    ground = prep.c_up * math.cos(prep.phi) * g_top + prep.c_down * _slit_profile(grid, X_BOTTOM)
+    mixed = prep.c_up * math.sin(prep.phi) * g_top
+    rows = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
+    start, stop = int(rows[0]), int(rows[-1]) + 1
+    c_m = coherent_state(alpha, n_max)
+    amps = np.empty((stop - start, 2, n_max), dtype=complex)
+    amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
+    amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
+    return JointState(grid=grid, amps=amps, start=start)
 
 
 def uncached_field_gram(state) -> np.ndarray:

@@ -59,8 +59,8 @@ class TestInteract:
         state = interact(build_initial(prep_v1(), ALPHA, default_grid, 96), PI_KICK)
         i_top = nearest_index(default_grid, X_TOP)
         i_bot = nearest_index(default_grid, X_BOTTOM)
-        minus = coherent_state(-ALPHA, 96)
-        plus = coherent_state(ALPHA, 96)
+        minus = coherent_state(-ALPHA, state.n_max)
+        plus = coherent_state(ALPHA, state.n_max)
         for idx, ref in ((i_top, minus), (i_bot, plus)):
             field = state.amps[idx - state.start, LEVEL_INDEX["c"], :]
             assert fidelity(field, ref) > 1.0 - 1e-6
@@ -70,7 +70,7 @@ class TestInteract:
                          PI_KICK, kick="local")
         i_top = nearest_index(default_grid, X_TOP)
         field = state.amps[i_top - state.start, LEVEL_INDEX["c"], :]
-        assert fidelity(field, coherent_state(-ALPHA, 96)) > 1.0 - 1e-6
+        assert fidelity(field, coherent_state(-ALPHA, state.n_max)) > 1.0 - 1e-6
 
     def test_intermediate_level_is_left_alone(self, default_grid):
         # without the classical drive the intermediate level is dark: its
@@ -284,7 +284,7 @@ class TestFieldDensity:
     def test_product_state_field(self, default_grid):
         state = build_initial(prep_v1(), ALPHA, default_grid, 64)
         rho_f = field_density(state)
-        amps = coherent_state(ALPHA, 64)
+        amps = coherent_state(ALPHA, state.n_max)
         ref = np.outer(amps, amps.conj())
         assert np.max(np.abs(rho_f - ref / np.trace(ref).real)) < 1e-12
 

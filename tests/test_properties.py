@@ -1,10 +1,11 @@
 """Property tests of the true-rank atom state, the de-duplicated kick, the
-support window and the field Gram.
+support window, the cut at the weight floor and the field Gram.
 
 Random preparations (single packets included), coherent amplitudes, drives,
 interaction phases, both interaction maps and both kick policies, at the
 reduced test numerics.  The oracle of the window is the same state embedded
-into every grid row (start = 0).
+into every grid row (start = 0); the oracle of the cut is the uncut state,
+on every row where a packet is exactly nonzero and at all N_MAX Fock columns.
 """
 
 import cmath
@@ -15,15 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic import golden_section_chi, joint_state_pdf, uncached_field_gram
+from analytic import golden_section_chi, joint_state_pdf, uncached_field_gram, uncut_initial
 from conftest import SMALL_NUMERIC
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import QuadratureSpec, coherent_state
-from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, X_BOTTOM, X_TOP, AtomDensity,
-                                        GridSpec, JointState, PreparationParams, _slit_profile,
-                                        build_initial, condition_on_quadrature, field_density,
-                                        interact, quadrature_pdf, trace_out_field)
+from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, WEIGHT_FLOOR, X_BOTTOM, X_TOP,
+                                        AtomDensity, GridSpec, JointState, PreparationParams,
+                                        _slit_profile, build_initial, condition_on_quadrature,
+                                        field_density, interact, quadrature_pdf, trace_out_field)
 from duality_sim.propagation import free_propagate, screen_distribution
 from duality_sim.runner import CHI_SEARCH_RANGE, ExperimentConfig, most_probable_chi
 
@@ -39,8 +40,11 @@ def two_paths(draw):
 
 
 @st.composite
-def kicked_states(draw):
-    """(initial state, interaction params, mode, kick) for a random run."""
+def kicked_states(draw, uncut=False):
+    """(initial state, interaction params, mode, kick) for a random run.
+
+    With uncut, the uncut initial state follows the initial state.
+    """
     c_up, c_down = draw(st.one_of(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]), two_paths()))
     prep = PreparationParams(c_up, c_down, draw(st.floats(0.0, 2.0 * math.pi)))
     alpha = draw(st.floats(0.5, 3.0))
@@ -49,6 +53,8 @@ def kicked_states(draw):
     mode = draw(st.sampled_from(["dispersive", "exact"]))
     kick = draw(st.sampled_from(["slit", "local"]))
     state = build_initial(prep, alpha, GRID, N_MAX, tail_tol=TAIL_TOLERANCE)
+    if uncut:
+        return state, uncut_initial(prep, alpha, GRID, N_MAX), params, mode, kick
     return state, params, mode, kick
 
 
@@ -145,17 +151,27 @@ def test_discarded_weight_above_tolerance_raises():
     (1.0, 0.0, math.pi / 2),
 ])
 def test_window_is_the_nonzero_span_of_the_slit_profiles(c_up, c_down, phi):
+    # nonzero at the weight floor: the rows whose density exceeds eps^2 of its
+    # peak, and the Fock columns whose coherent tail does, plus one
     state = build_initial(PreparationParams(c_up, c_down, phi), 1.5, GRID, N_MAX)
     ground = (c_up * math.cos(phi) * _slit_profile(GRID, X_TOP)
               + c_down * _slit_profile(GRID, X_BOTTOM))
     mixed = c_up * math.sin(phi) * _slit_profile(GRID, X_TOP)
-    nonzero = np.flatnonzero((ground != 0.0) | (mixed != 0.0))
-    assert (state.start, state.stop) == (nonzero[0], nonzero[-1] + 1)
-    # embedded into the full grid, the window is the full-grid build, bit for bit
+    density = np.abs(ground) ** 2 + np.abs(mixed) ** 2
+    rows = np.flatnonzero(density > WEIGHT_FLOOR * np.max(density))
+    start, stop = rows[0], rows[-1] + 1
+    assert (state.start, state.stop) == (start, stop)
     c_m = coherent_state(1.5, N_MAX)
+    tails = np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1]
+    c_m = c_m[:min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, N_MAX)]
+    assert state.n_max == c_m.size < N_MAX  # |alpha|^2 = 2.25 needs fewer than 48
+    # embedded into the full grid, the window is the cut profile times c[:n_c], bit for bit
     full = full_grid(state).amps
-    assert np.array_equal(full[:, LEVEL_INDEX["c"], :], np.outer(ground, c_m))
-    assert np.array_equal(full[:, LEVEL_INDEX["b"], :], np.outer(mixed, c_m))
+    for level, profile in (("c", ground), ("b", mixed)):
+        cut = np.zeros_like(profile)
+        cut[start:stop] = profile[start:stop]
+        assert np.array_equal(full[:, LEVEL_INDEX[level], :], np.outer(cut, c_m))
+    assert 0.0 < state.window_tail <= 1e-30
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,3 +272,34 @@ def test_most_probable_chi_of_the_reference_configs(theta):
                           config.numeric.grid, config.numeric.n_max)
     state = interact(state, config.interaction_params())
     assert most_probable_chi(state, theta) == golden_section_chi(state, theta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kicked_states(uncut=True))
+def test_the_cut_drops_no_weight(case):
+    state, uncut, _, _, _ = case
+    assert state.n_max <= N_MAX
+    assert uncut.start <= state.start < state.stop <= uncut.stop
+    fock = float(np.sum(np.abs(uncut.amps[:, :, state.n_max:]) ** 2)) * GRID.dx
+    outside = np.ones(uncut.amps.shape[0], dtype=bool)
+    outside[state.start - uncut.start:state.stop - uncut.start] = False
+    rows = float(np.sum(np.abs(uncut.amps[outside]) ** 2)) * GRID.dx
+    assert 0.0 <= fock <= 1e-30 and 0.0 <= rows <= 1e-30
+    assert 0.0 <= state.window_tail <= 1e-30
+
+
+@settings(max_examples=15, deadline=None)
+@given(kicked_states(uncut=True), st.floats(0.0, math.pi))
+def test_readouts_of_the_cut_state_match_the_uncut_state(case, theta):
+    state, uncut, params, mode, kick = case
+    cut = interact(state, params, mode=mode, kick=kick, tail_tol=TAIL_TOLERANCE)
+    oracle = interact(uncut, params, mode=mode, kick=kick, tail_tol=TAIL_TOLERANCE)
+    pattern = screen(trace_out_field(cut, tail_tol=TAIL_TOLERANCE))[1]
+    want = screen(trace_out_field(oracle, tail_tol=TAIL_TOLERANCE))[1]
+    assert np.max(np.abs(pattern - want)) <= 1e-13 * np.max(want)
+    chis = np.linspace(*CHI_SEARCH_RANGE, 281)
+    pdf, want = quadrature_pdf(cut, theta, chis), quadrature_pdf(oracle, theta, chis)
+    assert np.max(np.abs(pdf - want)) <= 1e-13 * np.max(want)
+    rho, want = np.zeros((N_MAX, N_MAX), dtype=complex), field_density(oracle)
+    rho[:cut.n_max, :cut.n_max] = field_density(cut)
+    assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))

@@ -105,10 +105,16 @@ class TestRun:
         start, stop = result.diagnostics["support_rows"]
         assert 0 < start < stop < SMALL_NUMERIC["grid"]["n_points"]
         assert 0.0 <= result.diagnostics["boundary_weight"] <= 1e-6
+        # alpha = sqrt(8) carries 62 Fock columns, more than the n_max ceiling of 48
+        assert result.diagnostics["fock_columns"] == SMALL_NUMERIC["n_max"]
+        assert 0.0 < result.diagnostics["initial_window_tail"] <= 1e-30
         result.write(tmp_path)
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert payload["support_rows"] == [start, stop]
         assert payload["boundary_weight"] == result.diagnostics["boundary_weight"]
+        assert payload["fock_columns"] == SMALL_NUMERIC["n_max"]
+        assert payload["initial_window_tail"] == result.diagnostics["initial_window_tail"]
+        assert run(small_config()).diagnostics["fock_columns"] == 2  # the vacuum, plus one
 
     def test_diagnostics_report_the_initial_fock_tail(self, tmp_path):
         numeric = {**SMALL_NUMERIC, "n_max": 20, "tail_tolerance": 1e-2}
@@ -424,6 +430,10 @@ class TestCli:
         {"numeric": {"grid": {"n_points": 64}}},
         {"numeric": {"grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 16}}},
         {"numeric": {"grid": {"x_min": -1e308, "x_max": 1e308}}},  # the span overflows
+        # a tail tolerance of 1 or more would switch every weight check off
+        {"stage": 1, "numeric": {"tail_tolerance": 1e300,
+                                 "grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 16}}},
+        {"numeric": {"tail_tolerance": 1.0}},
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_exit_code(self, tmp_path, overrides):
@@ -489,7 +499,8 @@ def run_configs(draw, grids=None):
     grids, if given, draws the whole grid object.
     """
     if grids is None:
-        grid = {"n_points": draw(st.integers(16, 512)),
+        # up to 512 points the default span cannot sample the packets; from 768 it can
+        grid = {"n_points": draw(st.integers(16, 512) | st.integers(768, 2048)),
                 **some(draw, {"x_min": NUMBERS, "x_max": NUMBERS})}
     else:
         grid = draw(grids)
@@ -522,9 +533,12 @@ def json_numbers(value):
                "numeric": {"n_max": 1, "grid": {"x_min": -1000.0, "x_max": 5.0, "n_points": 16}}})
 # |alpha|^2 overflows (was an OverflowError)
 @example(data={"stage": 2, "case": "V1", "alpha": 1e300, "numeric": {"n_max": 4}})
-# the coherent state underflows to zero within the tail tolerance (was a ValueError)
+# the coherent state underflows to zero within the tail tolerance (was a ValueError);
+# a tolerance of 1 or more is refused at load, so the sibling reaches the underflow
 @example(data={"stage": 2, "case": "V1", "alpha": 1e5,
                "numeric": {"n_max": 8, "tail_tolerance": 3.0}})
+@example(data={"stage": 2, "case": "V1", "alpha": 1e5,
+               "numeric": {"n_max": 8, "tail_tolerance": 0.5}})
 def test_any_run_config_exits_with_a_documented_code(data):
     assert_documented_exit(["run"], data)
 

@@ -14,10 +14,10 @@ from .errors import (ConfigError, GridError, ImpossibleOutcomeError, NumericErro
                      NumericRangeError, SimulationError, TruncationError,
                      UndefinedVisibilityError)
 from .evolution import InteractionParams
-from .fock import QGrid, QuadratureSpec, coherent_state, husimi_q, quadrature_projector
+from .fock import QGrid, coherent_state, husimi_q, quadrature_projector
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,
                              build_initial, condition_on_quadrature, field_density,
-                             interact, quadrature_pdf, trace_out_field)
+                             interact, quadrature_outcome, quadrature_pdf, trace_out_field)
 from .propagation import (DISPERSION_RATE, ScreenPattern, free_propagate, fringe_visibility,
                           screen_distribution)
 from .runner import (ExperimentConfig, RunResult, epsilon_sweep, load_config,

@@ -108,7 +108,7 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     safe = np.where(degenerate, 1.0, total)
     sinc = None
     if exact:
-        mu = total + 0.25 * d * d
+        mu = safe + 0.25 * d * d  # > 0 where d * d underflows; degenerate entries are unread
         arg = gt * np.sqrt(mu)
         sinc = np.sin(arg) / np.sqrt(mu)
         ring = np.exp(-0.5j * d * gt) * (np.cos(arg) + 0.5j * d * sinc) - 1.0

@@ -9,7 +9,9 @@ so a coherent state |alpha> has mean quadrature <X_theta> = Re(alpha e^{-i theta
 and vacuum quadrature variance 1/4.  With that scaling the quadrature
 wavefunction of |alpha> is a Gaussian of standard deviation 1/2 centred on
 the rotated amplitude, which is what makes homodyne outcomes +/-|alpha|
-read off the sign of a pi phase kick directly.
+read off the sign of a pi phase kick directly.  quadrature_projector gives
+the coefficients <m|chi_theta> of one outcome, quadrature_projectors those
+of a sweep of outcomes at one angle, from one oscillator-function recurrence.
 
 Husimi Q is evaluated at the rank of rho = sum_k lambda_k v_k v_k^dag, in
 Bargmann form: Q(beta) = e^{-|beta|^2}/pi sum_k lambda_k |sum_m v_km conj(beta)^m/sqrt(m!)|^2,
@@ -30,28 +32,14 @@ from .runtime import one_blas_thread
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "QuadratureSpec",
     "QGrid",
     "coherent_state",
     "quadrature_projector",
     "quadrature_projectors",
-    "hermite_oscillator_functions",
     "husimi_q",
     "rank_cut",
     "write_columns",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """A homodyne setting: quadrature angle theta and eigenvalue chi."""
-
-    theta: float
-    chi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "chi", float(self.chi))
 
 
 @dataclass(frozen=True)
@@ -101,58 +89,47 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
-def hermite_oscillator_functions(u, n_max: int) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions psi_n(u) for n < n_max.
-
-    psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi)), evaluated with the
-    bounded three-term recurrence
-
-        psi_{n+1} = sqrt(2/(n+1)) u psi_n - sqrt(n/(n+1)) psi_{n-1},
-
-    which never overflows (|psi_n| < 1 for all n, u).  The guard is on the
-    opposite failure: for |u| large enough that exp(-u^2/2) underflows the
-    whole column is zero and the caller cannot normalise, so we raise.
-    Returns shape (n_max,) + shape(u).
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.abs(u) < 1e154):  # NaN fails too; u * u stays finite
-        raise NumericRangeError("quadrature argument must be finite and below 1e154")
-    out = np.zeros((n_max,) + u.shape, dtype=float)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if n_max > 1:
-        out[1] = math.sqrt(2.0) * u * out[0]
-    for n in range(1, n_max - 1):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * u * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
-    if not np.all(np.isfinite(out)):
-        raise NumericRangeError("oscillator-function recurrence left the float range")
-    return out
-
-
-def quadrature_projector(spec: QuadratureSpec, n_max: int) -> np.ndarray:
+def quadrature_projector(theta: float, chi: float, n_max: int) -> np.ndarray:
     """Delta-normalised quadrature eigenvector coefficients <m|chi_theta>.
 
     b_m = 2^{1/4} psi_m(sqrt(2) chi) e^{i m theta}.  With this scaling
     |<chi|psi>|^2 is a probability *density* in chi: summing the densities
     of any normalised state over a chi grid integrates to one.
     """
-    return quadrature_projectors(spec.theta, [spec.chi], n_max)[0]
+    return quadrature_projectors(theta, [chi], n_max)[0]
 
 
 def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
     """quadrature_projector for every chi of a sweep at one angle.
 
-    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>; the
-    oscillator functions of all outcomes come from one recurrence.
+    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>.  The
+    orthonormal oscillator functions psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi))
+    of all outcomes come from one bounded three-term recurrence,
+
+        psi_{n+1} = sqrt(2/(n+1)) u psi_n - sqrt(n/(n+1)) psi_{n-1},
+
+    which never overflows (|psi_n| < 1 for all n, u).  The guard is on the
+    opposite failure: where exp(-u^2/2) underflows, an outcome's whole row
+    is zero and cannot be normalised, so NumericRangeError is raised.
     """
     u = math.sqrt(2.0) * np.asarray(chis, dtype=float)
-    psi = hermite_oscillator_functions(u, n_max).T
-    if np.any(np.max(np.abs(psi), axis=1) == 0.0):
+    if not np.all(np.abs(u) < 1e154):  # NaN fails too; u * u stays finite
+        raise NumericRangeError("quadrature argument must be finite and below 1e154")
+    psi = np.zeros((n_max,) + u.shape, dtype=float)
+    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if n_max > 1:
+        psi[1] = math.sqrt(2.0) * u * psi[0]
+    for n in range(1, n_max - 1):
+        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * u * psi[n] - math.sqrt(n / (n + 1.0)) * psi[n - 1]
+    if not np.all(np.isfinite(psi)):
+        raise NumericRangeError("oscillator-function recurrence left the float range")
+    if np.any(np.max(np.abs(psi), axis=0) == 0.0):
         raise NumericRangeError(
             "quadrature eigenvalue too large for the truncated basis "
             "(oscillator functions underflow)"
         )
     phases = np.exp(1j * (float(theta) % TWO_PI) * np.arange(n_max))
-    return (2.0 ** 0.25) * psi * phases
+    return (2.0 ** 0.25) * psi.T * phases
 
 
 def rank_cut(weights: np.ndarray) -> np.ndarray:

@@ -12,19 +12,19 @@ position, so it keeps the window, and every readout reduces over the window
 rows only.  The atomic state that leaves a readout is embedded into the full
 periodic grid for the free flight.
 
-Readouts reduce the field:
+Every readout reduces the field through one of two JointState methods:
+field_gram, the Gram matrix G of the Fock slices (the field density
+operator, up to transposition), or atom_columns, the atom factors that a
+field-side matrix mixes out of those slices.
 
 * trace_out_field keeps the atomic density operator in factored form
-  rho = L L^dag.  The Fock slices of the joint state are one such
-  factorisation; their Gram matrix (the field density operator, up to
-  transposition) is diagonalised once, and L keeps only the Schmidt
-  directions whose weight stands above rounding, so L has the true rank
-  of the atom-field entanglement (1 without the field, 2-3 for the slit
-  kick).  Propagation and screen extraction consume L directly; the dense
-  matrix is never formed.
-* condition_on_quadrature projects the field on a homodyne outcome and
-  returns the (pure, rank-1) conditional atom state plus the outcome's
-  probability density.
+  rho = L L^dag: L is atom_columns of G's eigenvectors above rounding, so
+  L has the true rank of the atom-field entanglement (1 without the field,
+  2-3 for the slit kick), and the dense matrix is never formed.
+* quadrature_outcome is atom_columns of one homodyne projector, and the
+  outcome's probability density; condition_on_quadrature returns the pure
+  conditional atom state from it.  quadrature_pdf reads a sweep of outcome
+  densities off G, and field_density is G's normalised transpose.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import evolution
 from .errors import ConfigError, ImpossibleOutcomeError, NumericError, NumericRangeError, TruncationError
 from .evolution import InteractionParams
-from .fock import QuadratureSpec, coherent_state, quadrature_projector, quadrature_projectors, rank_cut
+from .fock import coherent_state, quadrature_projector, quadrature_projectors, rank_cut
 from .runtime import one_blas_thread
 
 LEVEL_INDEX = {"b": 0, "c": 1}
@@ -57,6 +57,7 @@ __all__ = [
     "build_initial",
     "interact",
     "trace_out_field",
+    "quadrature_outcome",
     "condition_on_quadrature",
     "quadrature_pdf",
     "field_density",
@@ -115,9 +116,10 @@ class JointState:
 
     amps covers the grid rows [start, stop); the state is zero on every
     other row.  start = 0 with one row per grid point is the full grid.
-    fock_tail = 1 - ||c||^2 and window_tail are the initial weight outside the
-    carried Fock columns and rows; leak and truncation_loss are interact's losses.
-    amps must not change once field_gram is read.
+    fock_tail and window_tail are the initial weight outside the carried Fock
+    columns and rows; leak and truncation_loss are interact's losses.  Readouts
+    reach amps through field_gram and atom_columns; amps must not change once
+    field_gram is read.
     """
 
     grid: GridSpec
@@ -149,18 +151,19 @@ class JointState:
     def field_gram(self) -> np.ndarray:
         """gram[m, n] = dx sum_g conj(amps[g, m]) amps[g, n], the transposed field density.
 
-        Summed from the first to the last nonzero row, so zero rows around the
-        window leave it unchanged bit for bit.  NumericRangeError if not finite.
+        NumericRangeError if not finite.
         """
-        lo, hi = 0, self.amps.shape[0]
-        while lo < hi and not self.amps[lo].any():
-            lo += 1
-        while hi > lo and not self.amps[hi - 1].any():
-            hi -= 1
-        gram = _gram(self.amps[lo:hi].reshape(-1, self.n_max)) * self.grid.dx
+        gram = _gram(self.amps.reshape(-1, self.n_max)) * self.grid.dx
         if not np.isfinite(gram).all():
             raise NumericRangeError("the joint state's field Gram matrix is not finite")
         return gram
+
+    def atom_columns(self, columns: np.ndarray) -> np.ndarray:
+        """Window factors sum_m amps[g, l, m] columns[m, k], shape (rows, 2, k)."""
+        # (C^T flat^T)^T rather than flat @ C: the short-and-wide product keeps
+        # no large BLAS work buffers alive
+        flat = self.amps.reshape(-1, self.n_max)
+        return (columns.T @ flat.T).T.reshape(self.amps.shape[0], 2, -1)
 
 
 @dataclass(frozen=True)
@@ -214,10 +217,11 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     The state covers the grid rows from the first to the last one where the
     packet density exceeds WEIGHT_FLOOR times its peak, and the Fock columns
     up to the first whose coherent tail weight is at most WEIGHT_FLOOR, plus
-    one; n_max is a ceiling.  The weight left out, fock_tail (including the
-    coherent state's weight beyond n_max) and window_tail, raises
-    TruncationError above tail_tol.  A grid on which the packets' weight is
-    not 1 within tail_tol does not sample them: ConfigError.
+    one; n_max is a ceiling.  The weight left out raises TruncationError
+    above tail_tol: fock_tail, the coherent tail beyond the carried columns
+    (at the ceiling 1 - ||c||^2, clipped at 0), and window_tail.  A grid on
+    which the packets' weight is not 1 within tail_tol does not sample them:
+    ConfigError.
     """
     margin = 6.0 * SIGMA
     if grid.x_min > X_TOP - margin or grid.x_max < X_BOTTOM + margin:
@@ -230,7 +234,10 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
     tails = np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1]  # tails[m] = sum_{k >= m} |c_k|^2
-    c_m = c_m[:min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, n_max)]
+    n_c = min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, n_max)
+    # at the ceiling only 1 - ||c||^2 estimates the weight beyond n_max
+    fock_tail = float(tails[n_c]) if n_c < n_max else max(missing, 0.0)
+    c_m = c_m[:n_c]
     g_top = _slit_profile(grid, X_TOP)
     phi = float(prep.phi)
     ground = prep.c_up * math.cos(phi) * g_top + prep.c_down * _slit_profile(grid, X_BOTTOM)
@@ -245,7 +252,6 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
         raise ConfigError(f"the grid does not resolve the slits: the packets' weight on it is "
                           f"{weight:.3e}, not 1 within {tail_tol:.1e}")
     start, stop = int(support[0]), int(support[-1]) + 1
-    fock_tail = 1.0 - float(np.vdot(c_m, c_m).real)
     window_tail = (float(np.sum(density[:start])) + float(np.sum(density[stop:]))) * grid.dx
     for lost, where in ((fock_tail, f"beyond {c_m.size} Fock states"),
                         (window_tail, f"outside grid rows [{start}, {stop})")):
@@ -364,28 +370,33 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
             f"the rank cut discarded {discarded:.3e} of the atomic trace "
             f"(tolerance {tail_tol:.1e})"
         )
-    # (V^T flat^T)^T rather than flat @ V: the short-and-wide product keeps
-    # no large BLAS work buffers alive
-    columns = (vecs[:, keep] / math.sqrt(kept)).T @ state.amps.reshape(-1, state.n_max).T
-    factors = _embed(state, columns.T.reshape(state.amps.shape[0], 2, -1))
+    factors = _embed(state, state.atom_columns(vecs[:, keep] / math.sqrt(kept)))
     return AtomDensity(grid=state.grid, factors=factors, discarded_weight=discarded)
 
 
-def condition_on_quadrature(state: JointState, spec: QuadratureSpec):
-    """Project the field on a quadrature outcome.
+def quadrature_outcome(state: JointState, theta: float, chi: float):
+    """The field projected on the quadrature outcome chi at angle theta.
+
+    Returns (cond, density): the unnormalised conditional atom factor on the
+    window rows, shape (rows, 2, 1), and the outcome's probability density
+    dx sum |cond|^2.
+    """
+    cond = state.atom_columns(quadrature_projector(theta, chi, state.n_max).conj()[:, None])
+    return cond, float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
+
+
+def condition_on_quadrature(state: JointState, theta: float, chi: float):
+    """Condition the atom on the quadrature outcome chi at angle theta.
 
     Returns (AtomDensity, density): the renormalised pure conditional atom
-    state and the probability density of obtaining the outcome chi at the
-    chosen angle.
+    state and the probability density of the outcome.
     """
-    coeffs = quadrature_projector(spec, state.n_max)
-    cond = state.amps @ coeffs.conj()  # (rows, level)
-    density = float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
+    cond, density = quadrature_outcome(state, theta, chi)
     if not density >= 1e-300:  # NaN fails too
         raise ImpossibleOutcomeError(
-            f"outcome chi={spec.chi:g} at theta={spec.theta:g} has vanishing density"
+            f"outcome chi={chi:g} at theta={theta:g} has vanishing density"
         )
-    factors = _embed(state, (cond / math.sqrt(density))[:, :, None])
+    factors = _embed(state, cond / math.sqrt(density))
     return AtomDensity(grid=state.grid, factors=factors), density
 
 

@@ -29,10 +29,10 @@ import numpy as np
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
-from .fock import QGrid, QuadratureSpec, husimi_q, quadrature_projectors, write_columns
+from .fock import QGrid, husimi_q, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
                              condition_on_quadrature, field_density, interact,
-                             quadrature_pdf, trace_out_field)
+                             quadrature_outcome, quadrature_pdf, trace_out_field)
 from .propagation import ScreenPattern, free_propagate, fringe_visibility, screen_distribution
 from .runtime import keep_freed_memory
 
@@ -138,8 +138,7 @@ class ExperimentConfig:
         return _write(ExperimentConfig, self)
 
     def interaction_params(self) -> InteractionParams:
-        eps = 0.0 if self.stage == 2 else self.epsilon
-        return InteractionParams(epsilon=eps, theta_int=self.theta_int,
+        return InteractionParams(epsilon=self.epsilon, theta_int=self.theta_int,
                                  detuning_ratio=self.numeric.detuning_ratio)
 
 
@@ -298,35 +297,26 @@ def most_probable_chi(state: JointState, theta: float) -> float:
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
-    The scan reads the field Gram (quadrature_pdf); the search contracts the
-    joint state per outcome: on a flat peak it fixes chi only to ~sqrt of the
-    density's rounding, so the Gram's different rounding would move chi ~1e-8.
+    The scan reads the field Gram (quadrature_pdf); the search reads each
+    density from quadrature_outcome, as the readout does: on a flat peak it
+    fixes chi only to ~sqrt of the density's rounding, so the Gram's
+    different rounding would move chi ~1e-8.
     """
     coarse = np.linspace(*CHI_SEARCH_RANGE, 281)
-    dens = quadrature_pdf(state, theta, coarse)
-    best = int(np.argmax(dens))
-    lo = coarse[max(best - 1, 0)]
-    hi = coarse[min(best + 1, coarse.size - 1)]
-
-    def density_at(chi: float) -> float:
-        coeffs = quadrature_projectors(theta, np.array([chi]), state.n_max)
-        cond = state.amps.reshape(-1, state.n_max) @ coeffs.conj().T
-        return float((np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx)[0])
-
+    best = int(np.argmax(quadrature_pdf(state, theta, coarse)))
+    a, b = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = density_at(c), density_at(d)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = (quadrature_outcome(state, theta, chi)[1] for chi in (c, d))
     while b - a > 1e-10:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)
-            fc = density_at(c)
+            fc = quadrature_outcome(state, theta, c)[1]
         else:
             a, c, fc = c, d, fd
             d = a + ratio * (b - a)
-            fd = density_at(d)
+            fd = quadrature_outcome(state, theta, d)[1]
     return 0.5 * (a + b)
 
 
@@ -365,10 +355,8 @@ def run(config: ExperimentConfig) -> RunResult:
     state = _cavity_exit(config, diagnostics)
 
     if config.stage >= 2:
-        diagnostics.update(leak=state.leak, truncation_loss=state.truncation_loss)
-        fixed_chi = config.readout.type == "quadrature" and config.readout.chi is not None
-        diagnostics["post_interaction_norm_sq"] = (  # a fixed-chi readout reads no Gram
-            state.norm_sq() if fixed_chi else float(np.trace(state.field_gram).real))
+        diagnostics.update(leak=state.leak, truncation_loss=state.truncation_loss,
+                           post_interaction_norm_sq=state.norm_sq())
 
     qgrid = None
     if config.emit_qgrid and config.stage >= 2:
@@ -383,8 +371,7 @@ def run(config: ExperimentConfig) -> RunResult:
         chi = config.readout.chi
         if chi is None:
             chi = most_probable_chi(state, config.readout.theta)
-        rho, density = condition_on_quadrature(
-            state, QuadratureSpec(theta=config.readout.theta, chi=chi))
+        rho, density = condition_on_quadrature(state, config.readout.theta, chi)
         diagnostics["readout"] = {"kind": "quadrature", "theta": config.readout.theta,
                                   "chi": chi, "outcome_density": density}
     else:
@@ -442,11 +429,9 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
 
 
 def sphere_suite(t_prime: float, stage: int, alpha: complex, epsilon: complex,
-                 base: ExperimentConfig | None = None) -> dict[str, RunResult]:
-    """Run all seven named sphere cases with shared numerics."""
-    results = {}
-    for name in SPHERE_CASE_NAMES:
-        shared = dict(stage=stage, case=_read_case(name), alpha=complex(alpha),
-                      epsilon=complex(epsilon if stage == 3 else 0.0), t_prime=float(t_prime))
-        results[name] = run(ExperimentConfig(**shared) if base is None else replace(base, **shared))
-    return results
+                 base: ExperimentConfig) -> dict[str, RunResult]:
+    """Run all seven named sphere cases on the numerics, readout and mode of base."""
+    eps = complex(epsilon if stage == 3 else 0.0)
+    return {name: run(replace(base, stage=stage, case=_read_case(name), alpha=complex(alpha),
+                              epsilon=eps, t_prime=float(t_prime)))
+            for name in SPHERE_CASE_NAMES}

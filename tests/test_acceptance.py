@@ -14,7 +14,7 @@ from analytic import fidelity, pattern_l2, two_slit_intensity, visibility_or_zer
 from conftest import kick_row
 from duality_sim.duality import SPHERE_CASE_NAMES, gamma_of_phi, metrics
 from duality_sim.evolution import InteractionParams, branch_multipliers
-from duality_sim.fock import QuadratureSpec, coherent_state
+from duality_sim.fock import coherent_state
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, GridSpec,
                                         PreparationParams, build_initial,
                                         condition_on_quadrature, interact, trace_out_field)
@@ -156,7 +156,7 @@ def test_criterion_9_which_path_readout(stage2_v1_state):
     mid = MIDPOINT
     weights = {}
     for chi in (-ALPHA, ALPHA):
-        rho, _ = condition_on_quadrature(stage2_v1_state, QuadratureSpec(0.0, chi))
+        rho, _ = condition_on_quadrature(stage2_v1_state, 0.0, chi)
         dens = rho.diagonal().sum(axis=1)
         weights[chi] = float(np.sum(dens[grid.x < mid])) * grid.dx
     ok = weights[-ALPHA] >= 0.999 and 1.0 - weights[ALPHA] >= 0.999

@@ -9,16 +9,16 @@ from scipy.stats import poisson
 
 from analytic import dense_husimi, quadrature_operator
 from duality_sim.errors import NumericRangeError
-from duality_sim.fock import (QGrid, QuadratureSpec, coherent_state, husimi_q,
+from duality_sim.fock import (QGrid, coherent_state, husimi_q,
                               quadrature_projector, quadrature_projectors)
 from duality_sim.runner import QGRID_AXIS
 
 ALPHA = math.sqrt(8.0)
 
 
-def normalised_projector(spec, n_max):
+def normalised_projector(theta, chi, n_max):
     """Truncated quadrature eigenstate: the projector coefficients at unit norm."""
-    coeffs = quadrature_projector(spec, n_max)
+    coeffs = quadrature_projector(theta, chi, n_max)
     return coeffs / np.linalg.norm(coeffs)
 
 
@@ -83,7 +83,7 @@ class TestQuadratureOperator:
 
 class TestQuadratureEigenstate:
     def test_parity_at_origin(self):
-        st = normalised_projector(QuadratureSpec(0.0, 0.0), 64)
+        st = normalised_projector(0.0, 0.0, 64)
         assert np.all(st[1::2] == 0.0)
         assert np.vdot(st, st).real == pytest.approx(1.0, abs=1e-12)
 
@@ -91,7 +91,7 @@ class TestQuadratureEigenstate:
         # The residual is carried entirely by the truncation edge: away from
         # the last Fock row the eigenvalue relation holds to rounding.
         n_max = 96
-        st = normalised_projector(QuadratureSpec(0.0, ALPHA), n_max)
+        st = normalised_projector(0.0, ALPHA, n_max)
         X = quadrature_operator(0.0, n_max)
         resid = X @ st - ALPHA * st
         assert np.linalg.norm(resid[: n_max - 1]) < 1e-10
@@ -100,7 +100,7 @@ class TestQuadratureEigenstate:
     @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 4.0])
     def test_eigenvalue_relation_rotated(self, theta):
         n_max = 80
-        st = normalised_projector(QuadratureSpec(theta, 1.1), n_max)
+        st = normalised_projector(theta, 1.1, n_max)
         X = quadrature_operator(theta, n_max)
         resid = X @ st - 1.1 * st
         assert np.linalg.norm(resid[: n_max - 1]) < 1e-10
@@ -110,7 +110,7 @@ class TestQuadratureEigenstate:
         cs = coherent_state(ALPHA, 96)
         xs = np.linspace(-6.0, 6.0, 241)
         probs = np.array([
-            abs(np.vdot(quadrature_projector(QuadratureSpec(0.0, x), 96), cs)) ** 2
+            abs(np.vdot(quadrature_projector(0.0, x, 96), cs)) ** 2
             for x in xs
         ])
         analytic = math.sqrt(2.0 / math.pi) * np.exp(-2.0 * (xs - ALPHA) ** 2)
@@ -119,7 +119,7 @@ class TestQuadratureEigenstate:
 
     def test_overflow_guard(self):
         with pytest.raises(NumericRangeError):
-            normalised_projector(QuadratureSpec(0.0, 50.0), 32)
+            normalised_projector(0.0, 50.0, 32)
 
     @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7, 7.5])
     def test_sweep_rows_equal_single_projectors(self, theta):
@@ -127,7 +127,7 @@ class TestQuadratureEigenstate:
         rows = quadrature_projectors(theta, chis, 32)
         assert rows.shape == (57, 32)
         for chi, row in zip(chis, rows):
-            assert np.array_equal(row, quadrature_projector(QuadratureSpec(theta, chi), 32))
+            assert np.array_equal(row, quadrature_projector(theta, chi, 32))
 
     def test_sweep_underflow_guard_per_outcome(self):
         with pytest.raises(NumericRangeError):

@@ -9,7 +9,7 @@ from duality_sim import interferometer
 from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
                                  NumericRangeError)
 from duality_sim.evolution import InteractionParams
-from duality_sim.fock import QuadratureSpec, coherent_state
+from duality_sim.fock import coherent_state
 from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, SIGMA, X_BOTTOM, X_TOP,
                                         GridSpec, JointState, PreparationParams, build_initial,
                                         condition_on_quadrature, field_density, interact,
@@ -228,7 +228,7 @@ def kicked(default_grid):
 class TestConditioning:
     def test_amplitude_outcomes_localise_the_atom(self, kicked, default_grid):
         for chi, want_top in ((-ALPHA, True), (ALPHA, False)):
-            rho, density = condition_on_quadrature(kicked, QuadratureSpec(0.0, chi))
+            rho, density = condition_on_quadrature(kicked, 0.0, chi)
             dens = rho.diagonal().sum(axis=1)
             top = float(np.sum(dens[default_grid.x < MIDPOINT])) * default_grid.dx
             assert density > 0.0
@@ -236,7 +236,7 @@ class TestConditioning:
             assert (top < 0.001) == (not want_top)
 
     def test_phase_quadrature_erases_path_information(self, kicked, default_grid):
-        rho, _ = condition_on_quadrature(kicked, QuadratureSpec(math.pi / 2, 0.0))
+        rho, _ = condition_on_quadrature(kicked, math.pi / 2, 0.0)
         dens = rho.diagonal().sum(axis=1)
         top = float(np.sum(dens[default_grid.x < MIDPOINT])) * default_grid.dx
         assert top == pytest.approx(0.5, abs=1e-9)
@@ -256,13 +256,13 @@ class TestConditioning:
     def test_impossible_outcome(self, kicked):
         # far enough out that the outcome density underflows the 1e-300 floor
         with pytest.raises(ImpossibleOutcomeError):
-            condition_on_quadrature(kicked, QuadratureSpec(0.0, -26.0))
+            condition_on_quadrature(kicked, 0.0, -26.0)
 
     def test_nan_outcome_density_is_impossible(self, kicked):
         amps = kicked.amps.copy()
         amps[0] = np.nan
         with pytest.raises(ImpossibleOutcomeError):
-            condition_on_quadrature(replace(kicked, amps=amps), QuadratureSpec(0.0, 1.0))
+            condition_on_quadrature(replace(kicked, amps=amps), 0.0, 1.0)
 
     def test_decomposition_consistency(self):
         # integrating outcome-weighted conditional projectors over chi
@@ -273,7 +273,7 @@ class TestConditioning:
         chis = np.linspace(-6.0, 6.0, 241)
         acc = np.zeros_like(dense_traced)
         for chi in chis:
-            rho_c, density = condition_on_quadrature(state, QuadratureSpec(0.0, chi))
+            rho_c, density = condition_on_quadrature(state, 0.0, chi)
             acc += density * dense_rho(rho_c).reshape(512, 512)
         acc *= chis[1] - chis[0]
         eigs = np.linalg.eigvalsh((dense_traced - acc) * grid.dx)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from analytic import evolved_gaussian, gaussian_spread_sigma, pattern_l2, two_slit_intensity
 from duality_sim.errors import GridError, UndefinedVisibilityError
 from duality_sim.evolution import InteractionParams
-from duality_sim.fock import QuadratureSpec
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
                                         GridSpec, PreparationParams, build_initial,
                                         condition_on_quadrature, interact, trace_out_field)

@@ -59,6 +59,16 @@ def test_every_export_exists():
         assert missing == [], f"duality_sim.{name}.__all__ names {missing}"
 
 
+def test_only_interferometer_reads_the_joint_state_amplitudes():
+    # every other module reads a joint state through JointState.field_gram and
+    # .atom_columns, so no readout grows a private contraction of its layout
+    package = Path(duality_sim.__file__).parent
+    readers = {path.stem for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "amps"}
+    assert readers == {"interferometer"}
+
+
 def test_counted_arguments_bind_to_the_wrapped_signatures():
     counted = {}
     for layer, module_name, qualname, counter in LAYERS:

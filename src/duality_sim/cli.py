@@ -105,13 +105,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--values must be a comma-separated list of numbers")
     if not values:
         raise ConfigError("--values must name at least one epsilon")
+    tags = [f"{eps:g}".replace("-", "m").replace(".", "p") for eps in values]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:  # one file per value: refuse values that would share one
+            raise ConfigError(f"--values {values[tags.index(tag)]!r} and {values[i]!r} "
+                              f"would both write qgrid_eps_{tag}.csv")
     base = _base_config(args, stage=3)
     points = epsilon_sweep(base, values, args.level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    for point in points:
-        tag = f"{point.epsilon:g}".replace("-", "m").replace(".", "p")
+    for tag, point in zip(tags, points):
         point.qgrid.to_csv(out / f"qgrid_eps_{tag}.csv")
         summary.append({"epsilon": point.epsilon,
                         "overlap_with_initial": point.overlap_with_initial})

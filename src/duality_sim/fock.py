@@ -59,8 +59,8 @@ class QGrid:
 def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
     """A CSV of a header line, then x[i] and the row values[i] per line, 9 significant digits."""
     columns = np.reshape(values, (len(x), -1)).T.tolist()
-    line = "{:.9g}" + ",{:.9g}" * len(columns) + "\n"
-    body = "".join(map(line.format, x.tolist(), *columns))
+    line = "%.9g" + ",%.9g" * len(columns) + "\n"
+    body = "".join(map(line.__mod__, zip(x.tolist(), *columns)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n" + body)
 

@@ -9,8 +9,8 @@ only weight above WEIGHT_FLOOR = eps^2: the window of rows within ~12 sigma
 of the slits, and the Fock columns that hold the coherent state (build_initial
 reports and checks what is left out).  The interaction is diagonal in
 position, so it keeps the window, and every readout reduces over the window
-rows only.  The atomic state that leaves a readout is embedded into the full
-periodic grid for the free flight.
+rows only, and the atomic state that leaves it covers the same rows; the
+free flight is the one step that fills the full periodic grid.
 
 Every readout reduces the field through one of two JointState methods:
 field_gram, the Gram matrix G of the Fock slices (the field density
@@ -153,7 +153,7 @@ class JointState:
 
         NumericRangeError if not finite.
         """
-        gram = _gram(self.amps.reshape(-1, self.n_max)) * self.grid.dx
+        gram = _gram(self.amps) * self.grid.dx
         if not np.isfinite(gram).all():
             raise NumericRangeError("the joint state's field Gram matrix is not finite")
         return gram
@@ -170,37 +170,46 @@ class JointState:
 class AtomDensity:
     """Atomic density operator in factored form rho = L L^dag.
 
-    factors has shape (grid points, 2 levels, rank); the grid measure dx is
-    not folded into the factors, so trace(rho) = sum |factors|^2 * dx.
-    Constructors normalise to unit trace.  rho is Hermitian and positive
-    semidefinite by construction.  discarded_weight is the share of the
-    trace that a rank cut dropped before that normalisation.
+    factors (rows, 2 levels, rank) cover the grid rows [start, stop), as in
+    JointState; the grid measure dx is not folded in, so trace(rho) = sum
+    |factors|^2 * dx.  Constructors normalise to unit trace.  rho is Hermitian
+    and positive semidefinite by construction.  discarded_weight is the share
+    of the trace that a rank cut dropped before that normalisation.
     """
 
     grid: GridSpec
     factors: np.ndarray
+    start: int = 0
     discarded_weight: float = 0.0
 
     @property
     def rank(self) -> int:
         return self.factors.shape[2]
 
+    @property
+    def stop(self) -> int:
+        return self.start + self.factors.shape[0]
+
     def trace(self) -> float:
         return float(np.sum(np.abs(self.factors) ** 2)) * self.grid.dx
 
     def diagonal(self) -> np.ndarray:
-        """Probability density over (grid point, level)."""
-        return np.sum(np.abs(self.factors) ** 2, axis=2)
+        """Probability density over (grid point, level), zero outside the carried rows."""
+        density = np.zeros((self.grid.n_points, 2))
+        density[self.start:self.stop] = np.sum(np.abs(self.factors) ** 2, axis=2)
+        return density
 
     def boundary_weight(self) -> float:
-        """Probability on the two edge points of the periodic grid."""
-        edges = np.sum(np.abs(self.factors[[0, -1]]) ** 2, axis=2)
+        """Probability on the two edge points of the periodic grid (0.0 on rows not carried)."""
+        rows = [row - self.start for row in (0, self.grid.n_points - 1)
+                if self.start <= row < self.stop]
+        edges = np.sum(np.abs(self.factors[rows]) ** 2, axis=2)
         return float(np.sum(edges)) * self.grid.dx
 
     @one_blas_thread
     def purity(self) -> float:
         """trace(rho^2) via the rank x rank Gram matrix."""
-        gram = _gram(self.factors.reshape(-1, self.rank)) * self.grid.dx
+        gram = _gram(self.factors) * self.grid.dx
         return float(np.sum(np.abs(gram) ** 2))
 
 
@@ -327,23 +336,17 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
 
-def _embed(state: JointState, window: np.ndarray) -> np.ndarray:
-    """Atomic factors (window rows, 2, rank) scattered into the full grid."""
-    factors = np.zeros((state.grid.n_points, 2, window.shape[2]), dtype=complex)
-    factors[state.start:state.stop] = window
-    return factors
+def _gram(parts: np.ndarray) -> np.ndarray:
+    """gram[m, n] = sum_g,l conj(parts[g, l, m]) parts[g, l, n] for (rows, levels, columns) parts.
 
-
-def _gram(flat: np.ndarray) -> np.ndarray:
-    """conj(flat).T @ flat for a complex matrix of columns.
-
-    One real symmetric product (BLAS syrk, half the work of a complex gemm)
-    over the interleaved (re, im) columns, then recombined; no conjugated
-    copy of flat is made.
+    parts may be in either memory order: each level of a block of 1024 rows
+    is a matrix that BLAS reads in place, and only that block is conjugated.
     """
-    parts = np.ascontiguousarray(flat).view(float)
-    real = parts.T @ parts
-    return real[0::2, 0::2] + real[1::2, 1::2] + 1j * (real[0::2, 1::2] - real[1::2, 0::2])
+    gram = np.zeros((parts.shape[2],) * 2, dtype=complex)
+    for i in range(0, parts.shape[0], 1024):
+        for level in parts[i:i + 1024].transpose(1, 0, 2):
+            gram += level.conj().T @ level
+    return gram
 
 
 @one_blas_thread
@@ -370,8 +373,8 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
             f"the rank cut discarded {discarded:.3e} of the atomic trace "
             f"(tolerance {tail_tol:.1e})"
         )
-    factors = _embed(state, state.atom_columns(vecs[:, keep] / math.sqrt(kept)))
-    return AtomDensity(grid=state.grid, factors=factors, discarded_weight=discarded)
+    factors = state.atom_columns(vecs[:, keep] / math.sqrt(kept))
+    return AtomDensity(state.grid, factors, start=state.start, discarded_weight=discarded)
 
 
 def quadrature_outcome(state: JointState, theta: float, chi: float):
@@ -396,8 +399,7 @@ def condition_on_quadrature(state: JointState, theta: float, chi: float):
         raise ImpossibleOutcomeError(
             f"outcome chi={chi:g} at theta={theta:g} has vanishing density"
         )
-    factors = _embed(state, cond / math.sqrt(density))
-    return AtomDensity(grid=state.grid, factors=factors), density
+    return AtomDensity(state.grid, cond / math.sqrt(density), start=state.start), density
 
 
 def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:

@@ -77,11 +77,14 @@ def free_propagate(rho: AtomDensity, t_prime: float,
     if not phase <= PHASE_LIMIT:  # NaN fails too
         raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
-    spectra = np.fft.fft(rho.factors, axis=0)
+    # the one full-grid array: column-major, so each FFT runs along a contiguous column
+    factors = np.zeros((grid.n_points, 2, rho.rank), dtype=complex, order="F")
+    factors[rho.start:rho.stop] = rho.factors
+    np.fft.fft(factors, axis=0, out=factors)
     # in place, kernel first: with the operands swapped the complex
     # products round differently
-    np.multiply(kernel[:, None, None], spectra, out=spectra)
-    out = AtomDensity(grid=grid, factors=np.fft.ifft(spectra, axis=0, out=spectra))
+    np.multiply(kernel[:, None, None], factors, out=factors)
+    out = AtomDensity(grid=grid, factors=np.fft.ifft(factors, axis=0, out=factors))
     edge = out.boundary_weight()
     if not edge <= boundary_tol:  # NaN fails too
         raise GridError(

@@ -11,7 +11,8 @@ import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
 from duality_sim.fock import coherent_state, quadrature_projectors
-from duality_sim.interferometer import LEVEL_INDEX, X_BOTTOM, X_TOP, JointState, _slit_profile
+from duality_sim.interferometer import (LEVEL_INDEX, X_BOTTOM, X_TOP, AtomDensity, JointState,
+                                        _slit_profile)
 from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, fringe_visibility
 
 
@@ -66,7 +67,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dense_rho(rho) -> np.ndarray:
-    """Dense atomic density matrix L L^dag, indexed (i, s, j, s'); small grids only."""
+    """Dense L L^dag of full-grid (start = 0) factors, indexed (i, s, j, s'); small grids only."""
     flat = rho.factors.reshape(-1, rho.rank)
     n = rho.grid.n_points
     return (flat @ flat.conj().T).reshape(n, 2, n, 2)
@@ -102,6 +103,20 @@ def uncut_initial(prep, alpha, grid, n_max: int):
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
     amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
     return JointState(grid=grid, amps=amps, start=start)
+
+
+def full_grid(state):
+    """The same state with a row for every grid point (start = 0)."""
+    amps = np.zeros((state.grid.n_points,) + state.amps.shape[1:], dtype=complex)
+    amps[state.start:state.stop] = state.amps
+    return JointState(grid=state.grid, amps=amps)
+
+
+def full_grid_atom(rho):
+    """The same atomic density with a factor row for every grid point (start = 0)."""
+    factors = np.zeros((rho.grid.n_points,) + rho.factors.shape[1:], dtype=complex)
+    factors[rho.start:rho.stop] = rho.factors
+    return AtomDensity(grid=rho.grid, factors=factors, discarded_weight=rho.discarded_weight)
 
 
 def uncached_field_gram(state) -> np.ndarray:

@@ -10,7 +10,7 @@ from scipy.stats import poisson
 from analytic import dense_husimi, quadrature_operator
 from duality_sim.errors import NumericRangeError
 from duality_sim.fock import (QGrid, coherent_state, husimi_q,
-                              quadrature_projector, quadrature_projectors)
+                              quadrature_projector, quadrature_projectors, write_columns)
 from duality_sim.runner import QGRID_AXIS
 
 ALPHA = math.sqrt(8.0)
@@ -230,6 +230,19 @@ class TestHusimi:
             f"{x:.9g}," + ",".join(f"{v:.9g}" for v in row) + "\n"
             for x, row in zip(x_axis, values))
         assert (tmp_path / "qgrid.csv").read_bytes() == oracle.encode("ascii")
+
+
+def test_write_columns_bytes_match_the_format_spec(tmp_path):
+    # signed zeros, subnormals, the float range's ends, values that round
+    # at the 9th significant digit (some up to the next power of ten), inf and nan
+    edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7976931348623157e308,
+            0.1234567895, 9.999999995, -9.9999999949, 1.0000000005, 123456789.5,
+            999999999.5, 2.5e-7, 1e16, math.inf, -math.inf, math.nan]
+    x = np.array(edge)
+    values = np.array([edge[::-1], edge[3:] + edge[:3]]).T
+    write_columns(tmp_path / "edge.csv", "x,a,b", x, values)
+    oracle = "x,a,b\n" + "".join(f"{a:.9g},{b:.9g},{c:.9g}\n" for a, (b, c) in zip(x, values))
+    assert (tmp_path / "edge.csv").read_bytes() == oracle.encode("ascii")
 
 
 class TestOverlap:

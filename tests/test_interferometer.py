@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analytic import dense_rho, fidelity
+from analytic import dense_rho, fidelity, full_grid_atom
 from duality_sim import interferometer
 from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
                                  NumericRangeError)
@@ -269,12 +269,12 @@ class TestConditioning:
         # rebuilds the traced state (law of total probability)
         grid = GridSpec(-0.75, 2.35, 256)
         state = interact(build_initial(prep_v1(), 1.0, grid, 24), PI_KICK)
-        dense_traced = dense_rho(trace_out_field(state)).reshape(512, 512)
+        dense_traced = dense_rho(full_grid_atom(trace_out_field(state))).reshape(512, 512)
         chis = np.linspace(-6.0, 6.0, 241)
         acc = np.zeros_like(dense_traced)
         for chi in chis:
             rho_c, density = condition_on_quadrature(state, 0.0, chi)
-            acc += density * dense_rho(rho_c).reshape(512, 512)
+            acc += density * dense_rho(full_grid_atom(rho_c)).reshape(512, 512)
         acc *= chis[1] - chis[0]
         eigs = np.linalg.eigvalsh((dense_traced - acc) * grid.dx)
         assert 0.5 * float(np.sum(np.abs(eigs))) < 1e-3

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic import golden_section_chi, joint_state_pdf, uncached_field_gram, uncut_initial
+from analytic import (full_grid, full_grid_atom, golden_section_chi, joint_state_pdf,
+                      uncached_field_gram, uncut_initial)
 from conftest import SMALL_NUMERIC
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
@@ -56,13 +57,6 @@ def kicked_states(draw, uncut=False):
     if uncut:
         return state, uncut_initial(prep, alpha, GRID, N_MAX), params, mode, kick
     return state, params, mode, kick
-
-
-def full_grid(state):
-    """The same state with a row for every grid point (start = 0)."""
-    amps = np.zeros((state.grid.n_points,) + state.amps.shape[1:], dtype=complex)
-    amps[state.start:state.stop] = state.amps
-    return JointState(grid=state.grid, amps=amps)
 
 
 def interact_at_every_point(state, params, mode, kick):
@@ -112,6 +106,32 @@ def test_true_rank_factors_match_the_fock_slices(case):
     flown_full, pattern_full = screen(full)
     assert np.max(np.abs(pattern - pattern_full)) <= 1e-12
     assert flown.purity() == pytest.approx(flown_full.purity(), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, 63), length=st.integers(1, 64), rank=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(start=0, length=10, rank=2, seed=0)  # holds row 0
+@example(start=54, length=10, rank=2, seed=1)  # holds row N - 1
+@example(start=0, length=64, rank=3, seed=2)  # the whole grid
+@example(start=20, length=10, rank=1, seed=3)  # away from both edges
+def test_window_density_matches_its_full_grid_embedding(start, length, rank, seed):
+    grid = GridSpec(-6.0, 8.0, 64)
+    rows = min(length, grid.n_points - start)
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((rows, 2, rank)) + 1j * rng.standard_normal((rows, 2, rank))
+    factors /= math.sqrt(float(np.sum(np.abs(factors) ** 2)) * grid.dx)
+    rho = AtomDensity(grid=grid, factors=factors, start=start)
+    full = full_grid_atom(rho)
+    flight = (free_propagate(r, 1.0, boundary_tol=math.inf).factors for r in (rho, full))
+    assert np.array_equal(*flight)
+    assert abs(rho.trace() - full.trace()) <= 1e-15
+    assert abs(rho.purity() - full.purity()) <= 1e-15
+    assert np.max(np.abs(rho.diagonal() - full.diagonal())) <= 1e-15
+    if start == 0 or rho.stop == grid.n_points:
+        assert rho.boundary_weight() == full.boundary_weight()
+    else:
+        assert rho.boundary_weight() == 0.0
 
 
 def test_rank_is_one_without_the_field():
@@ -243,8 +263,9 @@ def test_field_readouts_match_the_uncached_gram(case):
     assert np.max(np.abs(field_density(state) * total - gram.T)) <= 1e-14 * scale
     # rho = L L^dag of the trace readout is flat flat^dag / total, on the window only
     rho = trace_out_field(state, tail_tol=TAIL_TOLERANCE)
-    assert not rho.factors[:state.start].any() and not rho.factors[state.stop:].any()
-    window = rho.factors[state.start:state.stop].reshape(-1, rho.rank)
+    full = full_grid_atom(rho).factors
+    assert not full[:state.start].any() and not full[state.stop:].any()
+    window = full[state.start:state.stop].reshape(-1, rho.rank)
     flat = state.amps.reshape(-1, state.n_max)
     probe = np.random.default_rng(0).standard_normal((flat.shape[0], 2)) @ np.array([1.0, 1.0j])
     applied = flat @ (flat.conj().T @ probe) / total

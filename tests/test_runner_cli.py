@@ -3,6 +3,7 @@ import json
 import math
 import resource
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,22 @@ class TestRun:
         b = most_probable_chi(state, math.pi / 2)
         assert a == b
         assert abs(a) < 1e-6
+
+
+def test_local_kick_run_peaks_near_one_flight_array():
+    # the flight's full-grid (N, 2, rank) buffer is the one large array of a
+    # run; readouts, purity and screen work on the window or in small blocks
+    config = ExperimentConfig.from_dict({
+        "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
+        "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
+    tracemalloc.start()
+    try:
+        result = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flight_array = 16384 * 2 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
+    assert peak <= 2.25 * flight_array
 
 
 class TestFreedMemory:
@@ -399,6 +416,18 @@ class TestCli:
 
     def test_bad_sweep_values(self, tmp_path):
         assert main(["sweep-epsilon", "--level", "b", "--values", "a,b"]) == 2
+
+    @pytest.mark.parametrize("values, named", [
+        ("1,1.0000001", ("1.0", "1.0000001")),  # both format as 1 under :g
+        ("3,0,3", ("3.0", "3.0")),
+    ])
+    def test_sweep_values_sharing_a_file_are_refused(self, tmp_path, capsys, values, named):
+        out = tmp_path / "sweep"
+        code = main(["sweep-epsilon", "--level", "b", "--values", values, "--out", str(out)])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert all(value in message for value in named)
+        assert not out.exists()
 
     def test_non_finite_sweep_value(self, tmp_path):
         assert main(["sweep-epsilon", "--level", "b", "--values", "0,nan"]) == 2

@@ -94,15 +94,15 @@ def quadrature_projector(theta: float, chi: float, n_max: int) -> np.ndarray:
 
     b_m = 2^{1/4} psi_m(sqrt(2) chi) e^{i m theta}.  With this scaling
     |<chi|psi>|^2 is a probability *density* in chi: summing the densities
-    of any normalised state over a chi grid integrates to one.
+    of any normalised state over a chi grid integrates to one.  The recurrence runs on scalar u.
     """
-    return quadrature_projectors(theta, [chi], n_max)[0]
+    return quadrature_projectors(theta, chi, n_max)
 
 
 def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
     """quadrature_projector for every chi of a sweep at one angle.
 
-    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>.  The
+    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>, (n_max,) for a scalar.  The
     orthonormal oscillator functions psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi))
     of all outcomes come from one bounded three-term recurrence,
 
@@ -112,9 +112,10 @@ def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
     opposite failure: where exp(-u^2/2) underflows, an outcome's whole row
     is zero and cannot be normalised, so NumericRangeError is raised.
     """
-    u = math.sqrt(2.0) * np.asarray(chis, dtype=float)
-    if not np.all(np.abs(u) < 1e154):  # NaN fails too; u * u stays finite
-        raise NumericRangeError("quadrature argument must be finite and below 1e154")
+    chis = np.asarray(chis, dtype=float)
+    if not np.all(np.abs(chis) < 1e153):  # NaN fails too; u = sqrt(2) chi and u * u stay finite
+        raise NumericRangeError("quadrature outcome must be finite and below 1e153")
+    u = math.sqrt(2.0) * chis
     psi = np.zeros((n_max,) + u.shape, dtype=float)
     psi[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
     if n_max > 1:

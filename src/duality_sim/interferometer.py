@@ -172,9 +172,10 @@ class AtomDensity:
 
     factors (rows, 2 levels, rank) cover the grid rows [start, stop), as in
     JointState; the grid measure dx is not folded in, so trace(rho) = sum
-    |factors|^2 * dx.  Constructors normalise to unit trace.  rho is Hermitian
-    and positive semidefinite by construction.  discarded_weight is the share
-    of the trace that a rank cut dropped before that normalisation.
+    |factors|^2 * dx, a pass made once: factors must not change after it.
+    Constructors normalise to unit trace.  rho is Hermitian and positive
+    semidefinite by construction.  discarded_weight is the share of the
+    trace that a rank cut dropped before that normalisation.
     """
 
     grid: GridSpec
@@ -190,21 +191,23 @@ class AtomDensity:
     def stop(self) -> int:
         return self.start + self.factors.shape[0]
 
+    @functools.cached_property
+    def _density(self) -> np.ndarray:
+        """(rows, 2) density of the carried rows, added rank by rank: no temporary outgrows a slab."""
+        return sum(np.abs(self.factors[:, :, k]) ** 2 for k in range(self.rank))
+
     def trace(self) -> float:
-        return float(np.sum(np.abs(self.factors) ** 2)) * self.grid.dx
+        return float(np.sum(self._density)) * self.grid.dx
 
     def diagonal(self) -> np.ndarray:
         """Probability density over (grid point, level), zero outside the carried rows."""
         density = np.zeros((self.grid.n_points, 2))
-        density[self.start:self.stop] = np.sum(np.abs(self.factors) ** 2, axis=2)
+        density[self.start:self.stop] = self._density
         return density
 
     def boundary_weight(self) -> float:
         """Probability on the two edge points of the periodic grid (0.0 on rows not carried)."""
-        rows = [row - self.start for row in (0, self.grid.n_points - 1)
-                if self.start <= row < self.stop]
-        edges = np.sum(np.abs(self.factors[rows]) ** 2, axis=2)
-        return float(np.sum(edges)) * self.grid.dx
+        return float(np.sum(self.diagonal()[[0, -1]])) * self.grid.dx
 
     @one_blas_thread
     def purity(self) -> float:

@@ -121,6 +121,14 @@ class TestQuadratureEigenstate:
         with pytest.raises(NumericRangeError):
             normalised_projector(0.0, 50.0, 32)
 
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7, 7.5])
+    def test_sweep_rows_equal_single_projectors(self, theta):
+        chis = np.linspace(-7.0, 7.0, 57)
+        rows = quadrature_projectors(theta, chis, 32)
+        assert rows.shape == (57, 32)
+        for chi, row in zip(chis, rows):
+            assert np.array_equal(row, quadrature_projector(theta, chi, 32))
+
     # one outcome runs the sweep's recurrence on a scalar; beyond |chi| ~ 20
     # the oscillator functions underflow and both forms must refuse
     @settings(max_examples=300, deadline=None)
@@ -129,7 +137,8 @@ class TestQuadratureEigenstate:
            as_numpy=st.booleans())
     @example(theta=7.5, n_max=32, chi=50.0, as_numpy=True)
     @example(theta=-1.0, n_max=1, chi=0.0, as_numpy=False)
-    def test_sweep_rows_equal_single_projectors(self, theta, n_max, chi, as_numpy):
+    def test_single_projector_is_the_sweep_row_bit_for_bit(self, theta, n_max, chi,
+                                                           as_numpy):
         chi = np.float64(chi) if as_numpy else chi
         try:
             row = quadrature_projectors(theta, [chi], n_max)[0]

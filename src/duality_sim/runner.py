@@ -379,6 +379,7 @@ def run(config: ExperimentConfig) -> RunResult:
         diagnostics["readout"] = {"kind": "trace"}
     diagnostics["schmidt_rank"] = rho.rank
     diagnostics["discarded_weight"] = rho.discarded_weight
+    del state  # nothing reads it after the readout; free it before the flight buffer
 
     purity_before = rho.purity()
     rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance)

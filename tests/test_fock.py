@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from analytic import dense_husimi, quadrature_operator
+from duality_sim import fock
 from duality_sim.errors import NumericRangeError
 from duality_sim.fock import (QGrid, coherent_state, husimi_q,
                               quadrature_projector, quadrature_projectors, write_columns)
@@ -264,6 +267,56 @@ def test_write_columns_bytes_match_the_format_spec(tmp_path):
     write_columns(tmp_path / "edge.csv", "x,a,b", x, values)
     oracle = "x,a,b\n" + "".join(f"{a:.9g},{b:.9g},{c:.9g}\n" for a, (b, c) in zip(x, values))
     assert (tmp_path / "edge.csv").read_bytes() == oracle.encode("ascii")
+
+
+CSV_EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7976931348623157e308,
+                   0.1234567895, 9.999999995, -9.9999999949, 1.0000000005, 123456789.5,
+                   999999999.5, 2.5e-7, 1e16, math.inf, -math.inf, math.nan]
+
+
+def csv_oracle(header, x, rows) -> bytes:
+    return (header + "\n" + "".join(
+        f"{a:.9g}" + "".join(f",{v:.9g}" for v in row) + "\n" for a, row in zip(x, rows))
+    ).encode("ascii")
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.lists(st.one_of(st.floats(), st.sampled_from(CSV_EDGE_VALUES)),
+                  min_size=1, max_size=300),
+       width=st.sampled_from([1, 2, 141]), seed=st.integers(0, 2**32 - 1))
+def test_cached_row_templates_bytes_match_the_format_spec(x, width, seed):
+    # the row templates are cached by x's bytes and the row width: no write may
+    # reuse templates built for other x values or another width
+    cache, rng, x = fock._row_templates, np.random.default_rng(seed), np.array(x)
+
+    def rows(w, n=x.size):
+        values = rng.standard_normal((n, w)) * 10.0 ** rng.integers(-320, 300, (n, w))
+        picks = rng.integers(0, values.size, values.size // 4)
+        values.flat[picks] = rng.choice(CSV_EDGE_VALUES, picks.size)
+        return values
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "columns.csv"
+
+        def check(axis, values, misses, hits):
+            write_columns(path, "x,values", axis, values)
+            assert path.read_bytes() == csv_oracle("x,values", axis, values)
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (misses, hits)
+            assert info.currsize <= info.maxsize
+
+        cache.cache_clear()
+        check(x, rows(width), 1, 0)
+        check(x, rows(width), 1, 1)
+        check(x, rows(2 if width == 1 else 1), 2, 1)
+        i = rng.integers(x.size)
+        x[i] = 2.0 if x[i] == 1.0 else 1.0
+        check(x, rows(width), 3, 1)
+        cache.cache_clear()
+        check(x, rows(width), 1, 0)
+        for k in range(cache.cache_info().maxsize + 1):
+            check(np.append(x, k), rows(1, x.size + 1), 2 + k, 0)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 class TestOverlap:

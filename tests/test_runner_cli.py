@@ -183,7 +183,7 @@ class TestRun:
 def test_local_kick_run_peaks_near_one_flight_array():
     # the flight's full-grid (N, 2, rank) buffer is the one large array of a
     # run; readouts, purity and screen work on the window, in small blocks or
-    # on (N, 2) slabs (1.20x measured)
+    # on (N, 2) slabs, and the joint state is freed before the flight (1.13x measured)
     config = ExperimentConfig.from_dict({
         "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
         "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
@@ -194,7 +194,7 @@ def test_local_kick_run_peaks_near_one_flight_array():
     finally:
         tracemalloc.stop()
     flight_array = 16384 * 2 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
-    assert peak <= 1.4 * flight_array
+    assert peak <= 1.2 * flight_array
 
 
 class TestFreedMemory:

@@ -95,3 +95,21 @@ def test_every_work_counter_counts_a_traced_run():
         tracer.uninstall()
     layers = {key.rsplit(".", 1)[0] for key, value in tracer.counts[1].items() if value > 0}
     assert layers == set(COUNTED_ARGUMENTS)
+
+
+def test_only_the_row_templates_format_at_nine_digits():
+    # every CSV body goes through write_columns' cached row templates; the one
+    # other 9-digit format is the y-axis header of QGrid.to_csv
+    def formats(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring formats nothing
+            if isinstance(child, ast.Constant) and ".9g" in str(child.value):
+                yield ".".join(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from formats(child, scope + (child.name,) if named else scope)
+
+    package = Path(duality_sim.__file__).parent
+    found = {name for path in package.glob("*.py")
+             for name in formats(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))}
+    assert found == {"fock._row_templates", "fock.QGrid.to_csv"}

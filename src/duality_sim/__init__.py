@@ -18,8 +18,8 @@ from .fock import QGrid, coherent_state, husimi_q, quadrature_projector
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,
                              build_initial, condition_on_quadrature, field_density,
                              interact, quadrature_outcome, quadrature_pdf, trace_out_field)
-from .propagation import (DISPERSION_RATE, ScreenPattern, free_propagate, fringe_visibility,
-                          screen_distribution)
+from .propagation import (DISPERSION_RATE, ScreenDensity, ScreenPattern, free_propagate,
+                          fringe_visibility, screen_distribution)
 from .runner import (ExperimentConfig, RunResult, epsilon_sweep, load_config,
                      most_probable_chi, run, sphere_suite)
 

@@ -58,20 +58,20 @@ class QGrid:
 
 
 @functools.lru_cache(maxsize=8)
-def _row_templates(x: bytes, width: int) -> tuple[int, tuple[str, ...]]:
+def _row_templates(x: bytes, width: int) -> tuple[int, tuple[bytes, ...]]:
     """write_columns' (cells, blocks): <= 24 cells keep each % in pymalloc; x never gives "%"."""
-    slots, rows = ",%.9g" * width + "\n", max(1, 24 // (width + 1))
-    lines = ["%.9g" % v + slots for v in np.frombuffer(x).tolist()]
-    return rows * width, tuple("".join(lines[i:i + rows]) for i in range(0, len(lines), rows))
+    slots, rows = b",%.9g" * width + b"\n", max(1, 24 // (width + 1))
+    lines = [b"%.9g" % v + slots for v in np.frombuffer(x).tolist()]
+    return rows * width, tuple(b"".join(lines[i:i + rows]) for i in range(0, len(lines), rows))
 
 
 def write_columns(path, header: str, x: np.ndarray, values: np.ndarray) -> None:
     """A header line, then x[i] and row values[i] per line at %.9g, from cached row templates."""
     cells, blocks = _row_templates(np.asarray(x, float).tobytes(), np.size(values) // len(x))
     flat = np.reshape(values, (len(x), -1)).ravel().tolist()
-    body = "".join([t % tuple(flat[k * cells:(k + 1) * cells]) for k, t in enumerate(blocks)])
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + body)
+    body = b"".join([t % tuple(flat[k * cells:(k + 1) * cells]) for k, t in enumerate(blocks)])
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n" + body)
 
 
 def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
@@ -103,9 +103,9 @@ def quadrature_projector(theta: float, chi: float, n_max: int) -> np.ndarray:
 
     b_m = 2^{1/4} psi_m(sqrt(2) chi) e^{i m theta}.  With this scaling
     |<chi|psi>|^2 is a probability *density* in chi: summing the densities
-    of any normalised state over a chi grid integrates to one.  The recurrence runs on scalar u.
+    of any normalised state over a chi grid integrates to one.  The sweep's recurrence, on floats.
     """
-    return quadrature_projectors(theta, chi, n_max)
+    return quadrature_projectors(theta, float(chi), n_max)
 
 
 def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
@@ -117,29 +117,42 @@ def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
 
         psi_{n+1} = sqrt(2/(n+1)) u psi_n - sqrt(n/(n+1)) psi_{n-1},
 
-    which never overflows (|psi_n| < 1 for all n, u).  The guard is on the
-    opposite failure: where exp(-u^2/2) underflows, an outcome's whole row
+    which never overflows (|psi_n| < 1 for all n, u), on Python floats for a float chi.  The
+    guard is on the opposite failure: where exp(-u^2/2) underflows, an outcome's whole row
     is zero and cannot be normalised, so NumericRangeError is raised.
     """
-    chis = np.asarray(chis, dtype=float)
-    if not np.all(np.abs(chis) < 1e153):  # NaN fails too; u = sqrt(2) chi and u * u stay finite
+    chis = chis if isinstance(chis, float) else np.asarray(chis, dtype=float)
+    if not np.all(abs(chis) < 1e153):  # NaN fails too; u = sqrt(2) chi and u * u stay finite
         raise NumericRangeError("quadrature outcome must be finite and below 1e153")
     u = math.sqrt(2.0) * chis
-    psi = np.zeros((n_max,) + u.shape, dtype=float)
-    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if n_max > 1:
-        psi[1] = math.sqrt(2.0) * u * psi[0]
-    for n in range(1, n_max - 1):
-        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * u * psi[n] - math.sqrt(n / (n + 1.0)) * psi[n - 1]
-    if not np.all(np.isfinite(psi)):
+    head = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    psi = [head] if np.ndim(u) else [float(head)]
+    psi.append(math.sqrt(2.0) * u * psi[0])
+    for a, b in _steps(n_max):
+        psi.append(a * u * psi[-1] - b * psi[-2])
+    psi = np.array(psi[:n_max])
+    if not np.isfinite(psi).all():
         raise NumericRangeError("oscillator-function recurrence left the float range")
-    if np.any(np.max(np.abs(psi), axis=0) == 0.0):
+    if not np.abs(psi).max(axis=0).all():  # a row of zeros
         raise NumericRangeError(
             "quadrature eigenvalue too large for the truncated basis "
             "(oscillator functions underflow)"
         )
-    phases = np.exp(1j * (float(theta) % TWO_PI) * np.arange(n_max))
-    return (2.0 ** 0.25) * psi.T * phases
+    return (2.0 ** 0.25) * psi.T * _phase_row(float(theta), n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _steps(n_max: int) -> tuple[tuple[float, float], ...]:
+    """The recurrence's coefficients (sqrt(2/(n+1)), sqrt(n/(n+1))) for n = 1 .. n_max - 2."""
+    return tuple((math.sqrt(2.0 / (n + 1)), math.sqrt(n / (n + 1.0))) for n in range(1, n_max - 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_row(theta: float, n_max: int) -> np.ndarray:
+    """e^{i m theta} for m < n_max, read-only: callers get products of it, never the row."""
+    row = np.exp(1j * (theta % TWO_PI) * np.arange(n_max))
+    row.flags.writeable = False
+    return row
 
 
 def rank_cut(weights: np.ndarray) -> np.ndarray:

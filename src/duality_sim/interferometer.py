@@ -53,6 +53,7 @@ __all__ = [
     "GridSpec",
     "PreparationParams",
     "JointState",
+    "DensityReaders",
     "AtomDensity",
     "build_initial",
     "interact",
@@ -153,7 +154,7 @@ class JointState:
 
         NumericRangeError if not finite.
         """
-        gram = _gram(self.amps) * self.grid.dx
+        gram = _gram(self.amps.transpose(1, 0, 2)) * self.grid.dx
         if not np.isfinite(gram).all():
             raise NumericRangeError("the joint state's field Gram matrix is not finite")
         return gram
@@ -166,16 +167,43 @@ class JointState:
         return (columns.T @ flat.T).T.reshape(self.amps.shape[0], 2, -1)
 
 
+class DensityReaders:
+    """trace, diagonal, boundary_weight and purity of an atomic density operator.
+
+    A subclass gives grid, density, the (rows, 2) probability density of the
+    grid rows from start on, and gram, the Gram matrix of the factors times dx.
+    """
+
+    start = 0
+
+    def trace(self) -> float:
+        return float(np.sum(self.density)) * self.grid.dx
+
+    def diagonal(self) -> np.ndarray:
+        """Probability density over (grid point, level), zero outside the carried rows."""
+        density = np.zeros((self.grid.n_points, 2))
+        density[self.start:self.start + len(self.density)] = self.density
+        return density
+
+    def boundary_weight(self) -> float:
+        """Probability on the two edge points of the periodic grid (0.0 on rows not carried)."""
+        return float(np.sum(self.diagonal()[[0, -1]])) * self.grid.dx
+
+    def purity(self) -> float:
+        """trace(rho^2) via the rank x rank Gram matrix."""
+        return float(np.sum(np.abs(self.gram) ** 2))
+
+
 @dataclass(frozen=True)
-class AtomDensity:
+class AtomDensity(DensityReaders):
     """Atomic density operator in factored form rho = L L^dag.
 
     factors (rows, 2 levels, rank) cover the grid rows [start, stop), as in
     JointState; the grid measure dx is not folded in, so trace(rho) = sum
-    |factors|^2 * dx, a pass made once: factors must not change after it.
-    Constructors normalise to unit trace.  rho is Hermitian and positive
-    semidefinite by construction.  discarded_weight is the share of the
-    trace that a rank cut dropped before that normalisation.
+    |factors|^2 * dx.  density and gram are each a pass made once: factors
+    must not change after it.  Constructors normalise to unit trace.  rho is
+    Hermitian and positive semidefinite by construction.  discarded_weight is
+    the share of the trace that a rank cut dropped before that normalisation.
     """
 
     grid: GridSpec
@@ -192,28 +220,14 @@ class AtomDensity:
         return self.start + self.factors.shape[0]
 
     @functools.cached_property
-    def _density(self) -> np.ndarray:
+    def density(self) -> np.ndarray:
         """(rows, 2) density of the carried rows, added rank by rank: no temporary outgrows a slab."""
         return sum(np.abs(self.factors[:, :, k]) ** 2 for k in range(self.rank))
 
-    def trace(self) -> float:
-        return float(np.sum(self._density)) * self.grid.dx
-
-    def diagonal(self) -> np.ndarray:
-        """Probability density over (grid point, level), zero outside the carried rows."""
-        density = np.zeros((self.grid.n_points, 2))
-        density[self.start:self.stop] = self._density
-        return density
-
-    def boundary_weight(self) -> float:
-        """Probability on the two edge points of the periodic grid (0.0 on rows not carried)."""
-        return float(np.sum(self.diagonal()[[0, -1]])) * self.grid.dx
-
+    @functools.cached_property
     @one_blas_thread
-    def purity(self) -> float:
-        """trace(rho^2) via the rank x rank Gram matrix."""
-        gram = _gram(self.factors) * self.grid.dx
-        return float(np.sum(np.abs(gram) ** 2))
+    def gram(self) -> np.ndarray:
+        return _gram(self.factors.transpose(1, 0, 2)) * self.grid.dx
 
 
 def _slit_profile(grid: GridSpec, centre: float) -> np.ndarray:
@@ -339,17 +353,18 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
 
-def _gram(parts: np.ndarray) -> np.ndarray:
-    """gram[m, n] = sum_g,l conj(parts[g, l, m]) parts[g, l, n] for (rows, levels, columns) parts.
+def _gram(levels) -> np.ndarray:
+    """gram[m, n] = sum_l,g conj(level_l[g, m]) level_l[g, n] over (rows, columns) levels.
 
-    parts may be in either memory order: each level of a block of 1024 rows
-    is a matrix that BLAS reads in place, and only that block is conjugated.
+    A level may be in either memory order: BLAS reads each block of 1024 rows
+    in place, and only that block is conjugated.  A level's block products are
+    all taken before the next level is drawn, so an iterator may yield every
+    level in one buffer.  The products are added block by block, each block
+    level by level.
     """
-    gram = np.zeros((parts.shape[2],) * 2, dtype=complex)
-    for i in range(0, parts.shape[0], 1024):
-        for level in parts[i:i + 1024].transpose(1, 0, 2):
-            gram += level.conj().T @ level
-    return gram
+    products = [[b.conj().T @ b for b in (level[i:i + 1024] for i in range(0, len(level), 1024))]
+                for level in levels]
+    return sum(product for block in zip(*products) for product in block)
 
 
 @one_blas_thread

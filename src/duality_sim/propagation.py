@@ -25,7 +25,8 @@ import numpy as np
 from .errors import GridError, NumericRangeError, UndefinedVisibilityError
 from .evolution import PHASE_LIMIT
 from .fock import write_columns
-from .interferometer import AtomDensity
+from .interferometer import AtomDensity, DensityReaders, GridSpec, _gram
+from .runtime import one_blas_thread
 
 # kernel phase per unit flight time at unit spatial frequency
 DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
@@ -41,6 +42,7 @@ __all__ = [
     "WAVELENGTH",
     "DEFAULT_VISIBILITY_WINDOW",
     "ScreenPattern",
+    "ScreenDensity",
     "free_propagate",
     "screen_distribution",
     "fringe_visibility",
@@ -62,10 +64,23 @@ class ScreenPattern:
         write_columns(path, "x_lambda,intensity", self.x_axis, self.intensity)
 
 
+@dataclass(frozen=True)
+class ScreenDensity(DensityReaders):
+    """The flown density: column-major (n_points, 2) density and Gram matrix times dx."""
+
+    grid: GridSpec
+    density: np.ndarray
+    gram: np.ndarray
+
+
+@one_blas_thread
 def free_propagate(rho: AtomDensity, t_prime: float,
-                   boundary_tol: float = 1e-6) -> AtomDensity:
+                   boundary_tol: float = 1e-6) -> ScreenDensity:
     """Evolve the atomic density operator through a field-free flight of duration t_prime.
 
+    Level b, then level c, flies through one column-major (n_points, rank)
+    buffer, so each FFT runs along a contiguous column; the level's density
+    column and Gram block products are read before the next level overwrites it.
     The kernel is unitary, so trace, Hermiticity and purity are preserved
     exactly; the boundary check guards against wrap-around of a state that
     outgrew the periodic grid.  A phase DISPERSION_RATE t_prime k_max^2
@@ -77,14 +92,21 @@ def free_propagate(rho: AtomDensity, t_prime: float,
     if not phase <= PHASE_LIMIT:  # NaN fails too
         raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
-    # the one full-grid array: column-major, so each FFT runs along a contiguous column
-    factors = np.zeros((grid.n_points, 2, rho.rank), dtype=complex, order="F")
-    factors[rho.start:rho.stop] = rho.factors
-    np.fft.fft(factors, axis=0, out=factors)
-    # in place, kernel first: with the operands swapped the complex
-    # products round differently
-    np.multiply(kernel[:, None, None], factors, out=factors)
-    out = AtomDensity(grid=grid, factors=np.fft.ifft(factors, axis=0, out=factors))
+    flight = np.empty((grid.n_points, rho.rank), dtype=complex, order="F")
+    density = np.empty((grid.n_points, 2), order="F")  # column-major: trace sums b, then c
+
+    def fly(level):  # the level in the one buffer; _gram reads it before the next flies
+        flight[:rho.start] = flight[rho.stop:] = 0.0
+        flight[rho.start:rho.stop] = rho.factors[:, level]
+        np.fft.fft(flight, axis=0, out=flight)
+        # in place, kernel first: with the operands swapped the complex
+        # products round differently
+        np.multiply(kernel[:, None], flight, out=flight)
+        np.fft.ifft(flight, axis=0, out=flight)
+        density[:, level] = sum(np.abs(flight[:, j]) ** 2 for j in range(rho.rank))
+        return flight
+
+    out = ScreenDensity(grid=grid, density=density, gram=_gram(map(fly, range(2))) * grid.dx)
     edge = out.boundary_weight()
     if not edge <= boundary_tol:  # NaN fails too
         raise GridError(
@@ -94,7 +116,7 @@ def free_propagate(rho: AtomDensity, t_prime: float,
     return out
 
 
-def screen_distribution(rho: AtomDensity) -> ScreenPattern:
+def screen_distribution(rho: DensityReaders) -> ScreenPattern:
     """Arrival density summed over internal levels, axis in wavelengths."""
     density = np.sum(rho.diagonal(), axis=1)
     return ScreenPattern(

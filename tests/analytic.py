@@ -119,6 +119,31 @@ def full_grid_atom(rho):
     return AtomDensity(grid=rho.grid, factors=factors, discarded_weight=rho.discarded_weight)
 
 
+def flown_full_grid(rho, t_prime: float):
+    """The flight of every level and rank at once through one (N, 2, rank) column-major buffer.
+
+    Returns the flown full-grid AtomDensity; the flight flies one level at a
+    time, and its readouts must equal this one's bit for bit.
+    """
+    grid = rho.grid
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
+    factors = np.zeros((grid.n_points, 2, rho.rank), dtype=complex, order="F")
+    factors[rho.start:rho.stop] = rho.factors
+    np.fft.fft(factors, axis=0, out=factors)
+    np.multiply(kernel[:, None, None], factors, out=factors)
+    return AtomDensity(grid=grid, factors=np.fft.ifft(factors, axis=0, out=factors))
+
+
+def assert_same_readouts(got, want) -> None:
+    """Diagonal, Gram, boundary weight, trace and purity of two densities agree bit for bit."""
+    assert np.array_equal(got.diagonal(), want.diagonal()), "diagonal"
+    assert np.array_equal(got.gram, want.gram), "gram"
+    assert got.boundary_weight() == want.boundary_weight(), "boundary weight"
+    assert got.trace() == want.trace(), "trace"
+    assert got.purity() == want.purity(), "purity"
+
+
 def uncached_field_gram(state) -> np.ndarray:
     """dx sum_g conj(amps[g, m]) amps[g, n] as one plain complex product over every row."""
     flat = state.amps.reshape(-1, state.n_max)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic import (full_grid, full_grid_atom, golden_section_chi, joint_state_pdf,
-                      uncached_field_gram, uncut_initial)
+from analytic import (assert_same_readouts, flown_full_grid, full_grid, full_grid_atom,
+                      golden_section_chi, joint_state_pdf, uncached_field_gram, uncut_initial)
 from conftest import SMALL_NUMERIC
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
@@ -125,8 +125,7 @@ def test_window_density_matches_its_full_grid_embedding(start, length, rank, see
     factors /= math.sqrt(float(np.sum(np.abs(factors) ** 2)) * grid.dx)
     rho = AtomDensity(grid=grid, factors=factors, start=start)
     full = full_grid_atom(rho)
-    flight = (free_propagate(r, 1.0, boundary_tol=math.inf).factors for r in (rho, full))
-    assert np.array_equal(*flight)
+    assert_same_readouts(*(free_propagate(r, 1.0, boundary_tol=math.inf) for r in (rho, full)))
     assert abs(rho.trace() - full.trace()) <= 1e-15
     assert abs(rho.purity() - full.purity()) <= 1e-15
     assert np.max(np.abs(rho.diagonal() - full.diagonal())) <= 1e-15
@@ -134,6 +133,32 @@ def test_window_density_matches_its_full_grid_embedding(start, length, rank, see
         assert rho.boundary_weight() == full.boundary_weight()
     else:
         assert rho.boundary_weight() == 0.0
+
+
+# 2100 rows: two full Gram blocks of 1024 rows and a short third
+FLIGHT_GRID = GridSpec(-6.0, 8.0, 2100)
+N_ROWS = FLIGHT_GRID.n_points
+WINDOWS = st.one_of(
+    st.integers(1, N_ROWS).map(lambda rows: (0, rows)),  # holds row 0
+    st.integers(1, N_ROWS).map(lambda rows: (N_ROWS - rows, N_ROWS)),  # holds row N - 1
+    st.tuples(st.integers(0, N_ROWS - 1), st.integers(1, N_ROWS)).map(
+        lambda w: (w[0], min(w[0] + w[1], N_ROWS))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=WINDOWS, rank=st.integers(1, 4), order=st.sampled_from("CF"),
+       t_prime=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_by_level_flight_matches_the_whole_buffer_flight(window, rank, order, t_prime,
+                                                               seed):
+    start, stop = window
+    rng = np.random.default_rng(seed)
+    shape = (stop - start, 2, rank)
+    factors = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order)
+    factors /= math.sqrt(float(np.sum(np.abs(factors) ** 2)) * FLIGHT_GRID.dx)
+    rho = AtomDensity(grid=FLIGHT_GRID, factors=factors, start=start)
+    flown = free_propagate(rho, t_prime, boundary_tol=math.inf)
+    assert_same_readouts(flown, flown_full_grid(rho, t_prime))
+    assert flown.density.flags.f_contiguous
 
 
 def test_rank_is_one_without_the_field():

@@ -181,9 +181,10 @@ class TestRun:
 
 
 def test_local_kick_run_peaks_near_one_flight_array():
-    # the flight's full-grid (N, 2, rank) buffer is the one large array of a
-    # run; readouts, purity and screen work on the window, in small blocks or
-    # on (N, 2) slabs, and the joint state is freed before the flight (1.13x measured)
+    # the flight's full-grid (N, rank) buffer, which holds one level at a time,
+    # is the one large array of a run; readouts, purity and screen work on the
+    # window, in small blocks or on (N, 2) slabs, and the joint state is freed
+    # before the flight (1.32x one level's buffer measured)
     config = ExperimentConfig.from_dict({
         "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
         "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
@@ -193,8 +194,8 @@ def test_local_kick_run_peaks_near_one_flight_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    flight_array = 16384 * 2 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
-    assert peak <= 1.2 * flight_array
+    level_buffer = 16384 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
+    assert peak <= 1.5 * level_buffer
 
 
 class TestFreedMemory:

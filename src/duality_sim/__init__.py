@@ -17,7 +17,7 @@ from .evolution import InteractionParams
 from .fock import QGrid, coherent_state, husimi_q, quadrature_projector
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,
                              build_initial, condition_on_quadrature, field_density,
-                             interact, quadrature_outcome, quadrature_pdf, trace_out_field)
+                             interact, quadrature_pdf, trace_out_field)
 from .propagation import (DISPERSION_RATE, ScreenDensity, ScreenPattern, free_propagate,
                           fringe_visibility, screen_distribution)
 from .runner import (ExperimentConfig, RunResult, epsilon_sweep, load_config,

@@ -21,10 +21,10 @@ field-side matrix mixes out of those slices.
   rho = L L^dag: L is atom_columns of G's eigenvectors above rounding, so
   L has the true rank of the atom-field entanglement (1 without the field,
   2-3 for the slit kick), and the dense matrix is never formed.
-* quadrature_outcome is atom_columns of one homodyne projector, and the
-  outcome's probability density; condition_on_quadrature returns the pure
-  conditional atom state from it.  quadrature_pdf reads a sweep of outcome
-  densities off G, and field_density is G's normalised transpose.
+* condition_on_quadrature takes atom_columns of one homodyne projector,
+  the pure conditional atom state, and its outcome density.  quadrature_pdf
+  reads a sweep of outcome densities off G, and field_density is G's
+  normalised transpose.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "build_initial",
     "interact",
     "trace_out_field",
-    "quadrature_outcome",
     "condition_on_quadrature",
     "quadrature_pdf",
     "field_density",
@@ -395,24 +394,16 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     return AtomDensity(state.grid, factors, start=state.start, discarded_weight=discarded)
 
 
-def quadrature_outcome(state: JointState, theta: float, chi: float):
-    """The field projected on the quadrature outcome chi at angle theta.
-
-    Returns (cond, density): the unnormalised conditional atom factor on the
-    window rows, shape (rows, 2, 1), and the outcome's probability density
-    dx sum |cond|^2.
-    """
-    cond = state.atom_columns(quadrature_projector(theta, chi, state.n_max).conj()[:, None])
-    return cond, float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
-
-
+@one_blas_thread
 def condition_on_quadrature(state: JointState, theta: float, chi: float):
     """Condition the atom on the quadrature outcome chi at angle theta.
 
-    Returns (AtomDensity, density): the renormalised pure conditional atom
-    state and the probability density of the outcome.
+    Returns (AtomDensity, density): the pure conditional atom state, the
+    atom column of the projector b_chi renormalised, and the outcome's
+    probability density dx sum |cond|^2.
     """
-    cond, density = quadrature_outcome(state, theta, chi)
+    cond = state.atom_columns(quadrature_projector(theta, chi, state.n_max).conj()[:, None])
+    density = float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
     if not density >= 1e-300:  # NaN fails too
         raise ImpossibleOutcomeError(
             f"outcome chi={chi:g} at theta={theta:g} has vanishing density"
@@ -420,6 +411,7 @@ def condition_on_quadrature(state: JointState, theta: float, chi: float):
     return AtomDensity(state.grid, cond / math.sqrt(density), start=state.start), density
 
 
+@one_blas_thread
 def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
     """Outcome densities b_chi G b_chi^dag from the field Gram G, for a sweep of chi.
 

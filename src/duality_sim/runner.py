@@ -29,10 +29,10 @@ import numpy as np
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
-from .fock import QGrid, husimi_q, write_columns
+from .fock import QGrid, husimi_q, quadrature_projector, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
                              condition_on_quadrature, field_density, interact,
-                             quadrature_outcome, quadrature_pdf, trace_out_field)
+                             quadrature_pdf, trace_out_field)
 from .propagation import ScreenPattern, free_propagate, fringe_visibility, screen_distribution
 from .runtime import keep_freed_memory
 
@@ -297,26 +297,29 @@ def most_probable_chi(state: JointState, theta: float) -> float:
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
-    The scan reads the field Gram (quadrature_pdf); the search reads each
-    density from quadrature_outcome, as the readout does: on a flat peak it
-    fixes chi only to ~sqrt of the density's rounding, so the Gram's
-    different rounding would move chi ~1e-8.
+    Both read the densities b_chi G b_chi^dag off the field Gram G.
     """
     coarse = np.linspace(*CHI_SEARCH_RANGE, 281)
     best = int(np.argmax(quadrature_pdf(state, theta, coarse)))
+    gram = state.field_gram
+
+    def density(chi):
+        row = quadrature_projector(theta, chi, state.n_max)
+        return float((row @ gram @ row.conj()).real)
+
     a, b = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = (quadrature_outcome(state, theta, chi)[1] for chi in (c, d))
+    fc, fd = density(c), density(d)
     while b - a > 1e-10:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)
-            fc = quadrature_outcome(state, theta, c)[1]
+            fc = density(c)
         else:
             a, c, fc = c, d, fd
             d = a + ratio * (b - a)
-            fd = quadrature_outcome(state, theta, d)[1]
+            fd = density(d)
     return 0.5 * (a + b)
 
 

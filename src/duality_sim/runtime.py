@@ -1,4 +1,4 @@
-"""Process-wide settings of the native libraries beneath numpy; each is a no-op without its library.
+"""Settings of the native libraries beneath numpy; each is a no-op without its library.
 
 OpenBLAS workers speed small products up little, then spin for ~0.1 s holding a second core.
 By default glibc unmaps freed multi-MB arrays, so each run faulted its pages in afresh.

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
-from duality_sim.fock import coherent_state, quadrature_projectors
+from duality_sim.fock import coherent_state, quadrature_projector, quadrature_projectors
 from duality_sim.interferometer import (LEVEL_INDEX, X_BOTTOM, X_TOP, AtomDensity, JointState,
                                         _slit_profile)
 from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, fringe_visibility
@@ -135,6 +135,33 @@ def flown_full_grid(rho, t_prime: float):
     return AtomDensity(grid=grid, factors=np.fft.ifft(factors, axis=0, out=factors))
 
 
+def unkicked_local_pattern(prep, alpha, theta_int: float, grid, t_prime: float,
+                           n_max: int = 96) -> np.ndarray:
+    """Screen intensity of the stage-2 local kick with the trace readout, in closed form.
+
+    Without the drive the dispersive map multiplies |c, m> by the phase
+    e^{i theta_int m cos^2 3x} and leaves |b> alone, so the traced atom is the
+    mixture sum_m |c_m|^2 (|U(ground e^{i theta_int m cos^2 3x})|^2 + |U mixed|^2),
+    U the free flight.  Each term flies through its own FFT.  Returns the
+    mixture normalised to unit weight, on the wavelength axis.
+    """
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
+
+    def flown_density(psi):
+        return np.abs(np.fft.ifft(kernel * np.fft.fft(psi))) ** 2
+
+    g_top = _slit_profile(grid, X_TOP)
+    ground = prep.c_up * math.cos(prep.phi) * g_top + prep.c_down * _slit_profile(grid, X_BOTTOM)
+    mixed = prep.c_up * math.sin(prep.phi) * g_top
+    weights = np.abs(coherent_state(alpha, n_max)) ** 2
+    phase = theta_int * np.cos(3.0 * grid.x) ** 2
+    total = np.sum(weights) * flown_density(mixed)
+    for m, weight in enumerate(weights):
+        total += weight * flown_density(ground * np.exp(1j * m * phase))
+    return total * WAVELENGTH / (float(np.sum(total)) * grid.dx)
+
+
 def assert_same_readouts(got, want) -> None:
     """Diagonal, Gram, boundary weight, trace and purity of two densities agree bit for bit."""
     assert np.array_equal(got.diagonal(), want.diagonal()), "diagonal"
@@ -157,18 +184,8 @@ def joint_state_pdf(state, theta: float, chis) -> np.ndarray:
     return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
 
 
-def golden_section_chi(state, theta: float, search=(-7.0, 7.0)) -> float:
-    """Most probable outcome from a 281-point scan and a golden-section search.
-
-    Both run on joint_state_pdf: the search as it ran before the scan read the field Gram.
-    """
-    coarse = np.linspace(search[0], search[1], 281)
-    best = int(np.argmax(joint_state_pdf(state, theta, coarse)))
-    a, b = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
-
-    def density_at(chi):
-        return float(joint_state_pdf(state, theta, np.array([chi]))[0])
-
+def _golden_section(density_at, a: float, b: float) -> float:
+    """Golden-section search of [a, b] for the maximum, ties towards the smaller chi."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - ratio * (b - a), a + ratio * (b - a)
     fc, fd = density_at(c), density_at(d)
@@ -182,3 +199,32 @@ def golden_section_chi(state, theta: float, search=(-7.0, 7.0)) -> float:
             d = a + ratio * (b - a)
             fd = density_at(d)
     return 0.5 * (a + b)
+
+
+def _bracket(state, theta: float, search) -> tuple[float, float]:
+    """The neighbours of the best of 281 outcomes of joint_state_pdf over search."""
+    coarse = np.linspace(search[0], search[1], 281)
+    best = int(np.argmax(joint_state_pdf(state, theta, coarse)))
+    return coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
+
+
+def golden_section_chi(state, theta: float, search=(-7.0, 7.0)) -> float:
+    """Most probable outcome from a 281-point scan and a golden-section search.
+
+    The scan runs on joint_state_pdf, the search on b_chi G b_chi^dag from the field Gram G.
+    """
+    gram = state.field_gram
+
+    def density_at(chi):
+        row = quadrature_projector(theta, chi, state.n_max)
+        return float((row @ gram @ row.conj()).real)
+
+    return _golden_section(density_at, *_bracket(state, theta, search))
+
+
+def joint_state_chi(state, theta: float, search=(-7.0, 7.0)) -> float:
+    """The same search with every density contracted from the joint state (joint_state_pdf)."""
+    def density_at(chi):
+        return float(joint_state_pdf(state, theta, np.array([chi]))[0])
+
+    return _golden_section(density_at, *_bracket(state, theta, search))

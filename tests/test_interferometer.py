@@ -196,6 +196,31 @@ class TestReadoutBlasThreads:
         assert seen == [("gram", 1), ("eigh", 1), ("gram", 1)]
         assert blas_threads() == 2
 
+    def test_quadrature_readouts_use_one_thread(self, monkeypatch, blas_threads,
+                                                default_grid):
+        seen, real_columns = [], JointState.atom_columns
+        real_projectors = interferometer.quadrature_projectors
+
+        def atom_columns(*args, **kwargs):
+            seen.append(("atom_columns", blas_threads()))
+            return real_columns(*args, **kwargs)
+
+        def quadrature_projectors(*args, **kwargs):
+            seen.append(("projectors", blas_threads()))
+            return real_projectors(*args, **kwargs)
+
+        monkeypatch.setattr(JointState, "atom_columns", atom_columns)
+        monkeypatch.setattr(interferometer, "quadrature_projectors", quadrature_projectors)
+        state = interact(build_initial(prep_v1(), ALPHA, default_grid, 48), PI_KICK)
+        quadrature_pdf(state, 0.0, [-1.0, 1.0])
+        condition_on_quadrature(state, 0.0, ALPHA)
+        assert blas_threads() == 2
+        # far enough out that the outcome density underflows the 1e-300 floor
+        with pytest.raises(ImpossibleOutcomeError):
+            condition_on_quadrature(state, 0.0, -26.0)
+        assert seen == [("projectors", 1), ("atom_columns", 1), ("atom_columns", 1)]
+        assert blas_threads() == 2
+
     def test_field_gram_is_computed_once_on_one_thread(self, monkeypatch, blas_threads,
                                                        default_grid):
         seen, real_gram = [], interferometer._gram

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import math
 import resource
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic import visibility_or_zero
+from analytic import unkicked_local_pattern, visibility_or_zero
 from conftest import SMALL_NUMERIC
 from duality_sim import runner, runtime
 from duality_sim.cli import main
 from duality_sim.duality import SPHERE_CASE_NAMES
 from duality_sim.errors import ConfigError
 from duality_sim.fock import coherent_state
-from duality_sim.interferometer import build_initial, interact
+from duality_sim.interferometer import JointState, build_initial, interact
 from duality_sim.runner import (ExperimentConfig, epsilon_sweep, load_config,
                                 most_probable_chi, run, sphere_suite)
 
@@ -166,6 +167,28 @@ class TestRun:
         assert abs(abs(chi) - ALPHA) < 0.05
         assert result.diagnostics["readout"]["outcome_density"] > 0.0
 
+    def test_most_probable_run_contracts_the_joint_state_once(self, monkeypatch):
+        # the search reads every density off the field Gram; the readout's
+        # atom column is the one contraction of the joint state
+        calls = []
+        real_columns, real_gram = JointState.atom_columns, JointState.__dict__["field_gram"].func
+
+        def atom_columns(*args, **kwargs):
+            calls.append("atom_columns")
+            return real_columns(*args, **kwargs)
+
+        def field_gram(state):
+            calls.append("field_gram")
+            return real_gram(state)
+
+        cached_gram = functools.cached_property(field_gram)
+        cached_gram.__set_name__(JointState, "field_gram")
+        monkeypatch.setattr(JointState, "atom_columns", atom_columns)
+        monkeypatch.setattr(JointState, "field_gram", cached_gram)
+        run(small_config(stage=2, readout={"type": "quadrature", "theta": 0.0,
+                                           "chi": "most-probable"}))
+        assert calls == ["field_gram", "atom_columns"]
+
     def test_most_probable_chi_deterministic(self):
         from duality_sim.evolution import InteractionParams
         from duality_sim.interferometer import (GridSpec, PreparationParams,
@@ -196,6 +219,20 @@ def test_local_kick_run_peaks_near_one_flight_array():
         tracemalloc.stop()
     level_buffer = 16384 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
     assert peak <= 1.5 * level_buffer
+
+
+@pytest.mark.parametrize("t_prime", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("case", ["V1", "CV", "VDC", "DC"])
+def test_local_kick_without_drive_matches_the_phase_oracle(case, t_prime):
+    # the whole local-kick pipeline against its closed form at epsilon = 0,
+    # computed without a joint state (analytic.unkicked_local_pattern)
+    config = ExperimentConfig.from_dict({
+        "stage": 2, "case": case, "t_prime": t_prime, "kick": "local",
+        "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
+    got = run(config).pattern.intensity
+    want = unkicked_local_pattern(config.case, config.alpha, config.theta_int,
+                                  config.numeric.grid, t_prime, config.numeric.n_max)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 class TestFreedMemory:

@@ -60,13 +60,24 @@ def test_every_export_exists():
 
 
 def test_only_interferometer_reads_the_joint_state_amplitudes():
-    # every other module reads a joint state through JointState.field_gram and
-    # .atom_columns, so no readout grows a private contraction of its layout
+    # every other module reads a joint state through JointState.field_gram or
+    # interferometer's readouts, so no readout grows a private contraction of its layout
     package = Path(duality_sim.__file__).parent
     readers = {path.stem for path in package.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "amps"}
     assert readers == {"interferometer"}
+
+
+def test_only_interferometer_contracts_the_joint_state():
+    # JointState.atom_columns, a pass over the whole joint state, serves the
+    # readouts; every other module reads the field Gram, computed once per state
+    package = Path(duality_sim.__file__).parent
+    callers = {path.stem for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "atom_columns"}
+    assert callers == {"interferometer"}
 
 
 def test_counted_arguments_bind_to_the_wrapped_signatures():

@@ -53,7 +53,6 @@ __all__ = [
     "GridSpec",
     "PreparationParams",
     "JointState",
-    "DensityReaders",
     "AtomDensity",
     "build_initial",
     "interact",
@@ -166,43 +165,16 @@ class JointState:
         return (columns.T @ flat.T).T.reshape(self.amps.shape[0], 2, -1)
 
 
-class DensityReaders:
-    """trace, diagonal, boundary_weight and purity of an atomic density operator.
-
-    A subclass gives grid, density, the (rows, 2) probability density of the
-    grid rows from start on, and gram, the Gram matrix of the factors times dx.
-    """
-
-    start = 0
-
-    def trace(self) -> float:
-        return float(np.sum(self.density)) * self.grid.dx
-
-    def diagonal(self) -> np.ndarray:
-        """Probability density over (grid point, level), zero outside the carried rows."""
-        density = np.zeros((self.grid.n_points, 2))
-        density[self.start:self.start + len(self.density)] = self.density
-        return density
-
-    def boundary_weight(self) -> float:
-        """Probability on the two edge points of the periodic grid (0.0 on rows not carried)."""
-        return float(np.sum(self.diagonal()[[0, -1]])) * self.grid.dx
-
-    def purity(self) -> float:
-        """trace(rho^2) via the rank x rank Gram matrix."""
-        return float(np.sum(np.abs(self.gram) ** 2))
-
-
 @dataclass(frozen=True)
-class AtomDensity(DensityReaders):
+class AtomDensity:
     """Atomic density operator in factored form rho = L L^dag.
 
     factors (rows, 2 levels, rank) cover the grid rows [start, stop), as in
     JointState; the grid measure dx is not folded in, so trace(rho) = sum
-    |factors|^2 * dx.  density and gram are each a pass made once: factors
-    must not change after it.  Constructors normalise to unit trace.  rho is
-    Hermitian and positive semidefinite by construction.  discarded_weight is
-    the share of the trace that a rank cut dropped before that normalisation.
+    |factors|^2 * dx.  gram is a pass made once: factors must not change
+    after it.  Constructors normalise to unit trace.  rho is Hermitian and
+    positive semidefinite by construction.  discarded_weight is the share of
+    the trace that a rank cut dropped before that normalisation.
     """
 
     grid: GridSpec
@@ -219,14 +191,13 @@ class AtomDensity(DensityReaders):
         return self.start + self.factors.shape[0]
 
     @functools.cached_property
-    def density(self) -> np.ndarray:
-        """(rows, 2) density of the carried rows, added rank by rank: no temporary outgrows a slab."""
-        return sum(np.abs(self.factors[:, :, k]) ** 2 for k in range(self.rank))
-
-    @functools.cached_property
     @one_blas_thread
     def gram(self) -> np.ndarray:
         return _gram(self.factors.transpose(1, 0, 2)) * self.grid.dx
+
+    def purity(self) -> float:
+        """trace(rho^2) via the rank x rank Gram matrix."""
+        return float(np.sum(np.abs(self.gram) ** 2))
 
 
 def _slit_profile(grid: GridSpec, centre: float) -> np.ndarray:

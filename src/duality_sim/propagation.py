@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridError, NumericRangeError, UndefinedVisibilityError
 from .evolution import PHASE_LIMIT
 from .fock import write_columns
-from .interferometer import AtomDensity, DensityReaders, GridSpec, _gram
+from .interferometer import AtomDensity, GridSpec, _gram
 from .runtime import one_blas_thread
 
 # kernel phase per unit flight time at unit spatial frequency
@@ -56,21 +56,28 @@ class ScreenPattern:
     x_axis: np.ndarray
     intensity: np.ndarray
 
-    @property
-    def dx(self) -> float:
-        return float(self.x_axis[1] - self.x_axis[0])
-
     def to_csv(self, path) -> None:
         write_columns(path, "x_lambda,intensity", self.x_axis, self.intensity)
 
 
 @dataclass(frozen=True)
-class ScreenDensity(DensityReaders):
+class ScreenDensity:
     """The flown density: column-major (n_points, 2) density and Gram matrix times dx."""
 
     grid: GridSpec
     density: np.ndarray
     gram: np.ndarray
+
+    def trace(self) -> float:
+        return float(np.sum(self.density)) * self.grid.dx
+
+    def boundary_weight(self) -> float:
+        """Probability on the two edge points of the periodic grid."""
+        return float(np.sum(self.density[[0, -1]])) * self.grid.dx
+
+    def purity(self) -> float:
+        """trace(rho^2) via the rank x rank Gram matrix."""
+        return float(np.sum(np.abs(self.gram) ** 2))
 
 
 @one_blas_thread
@@ -116,9 +123,9 @@ def free_propagate(rho: AtomDensity, t_prime: float,
     return out
 
 
-def screen_distribution(rho: DensityReaders) -> ScreenPattern:
+def screen_distribution(rho: ScreenDensity) -> ScreenPattern:
     """Arrival density summed over internal levels, axis in wavelengths."""
-    density = np.sum(rho.diagonal(), axis=1)
+    density = np.sum(rho.density, axis=1)
     return ScreenPattern(
         x_axis=rho.grid.x / WAVELENGTH,
         intensity=density * WAVELENGTH,

@@ -292,15 +292,16 @@ def _write_json(path, payload) -> None:
                           encoding="ascii")
 
 
-def most_probable_chi(state: JointState, theta: float) -> float:
+def most_probable_chi(state: JointState, theta: float, scan=None) -> float:
     """Locate the maximum of the quadrature outcome density over CHI_SEARCH_RANGE.
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
-    Both read the densities b_chi G b_chi^dag off the field Gram G.
+    Both read the densities b_chi G b_chi^dag off the field Gram G.  scan,
+    if given, is quadrature_pdf at theta on the coarse axis, already evaluated.
     """
     coarse = np.linspace(*CHI_SEARCH_RANGE, 281)
-    best = int(np.argmax(quadrature_pdf(state, theta, coarse)))
+    best = int(np.argmax(quadrature_pdf(state, theta, coarse) if scan is None else scan))
     gram = state.field_gram
 
     def density(chi):
@@ -373,7 +374,7 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.readout.type == "quadrature" and config.stage >= 2:
         chi = config.readout.chi
         if chi is None:
-            chi = most_probable_chi(state, config.readout.theta)
+            chi = most_probable_chi(state, config.readout.theta, chi_pdf)
         rho, density = condition_on_quadrature(state, config.readout.theta, chi)
         diagnostics["readout"] = {"kind": "quadrature", "theta": config.readout.theta,
                                   "chi": chi, "outcome_density": density}

@@ -11,9 +11,9 @@ import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
 from duality_sim.fock import coherent_state, quadrature_projector, quadrature_projectors
-from duality_sim.interferometer import (LEVEL_INDEX, X_BOTTOM, X_TOP, AtomDensity, JointState,
-                                        _slit_profile)
-from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, fringe_visibility
+from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, X_BOTTOM, X_TOP, AtomDensity,
+                                        JointState, _slit_profile)
+from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, ScreenDensity, fringe_visibility
 
 
 def gaussian_spread_sigma(sigma: float, t_prime: float) -> float:
@@ -37,9 +37,15 @@ def two_slit_intensity(grid, centres, weights, sigma: float, t_prime: float) -> 
     return np.abs(psi) ** 2 * WAVELENGTH
 
 
+def intensity_l2(pattern, intensity) -> float:
+    """L2 distance between a screen pattern and an intensity sampled on its axis."""
+    dx = float(pattern.x_axis[1] - pattern.x_axis[0])
+    return math.sqrt(float(np.sum((pattern.intensity - intensity) ** 2)) * dx)
+
+
 def pattern_l2(a, b) -> float:
     """L2 distance between two screen patterns on the same axis."""
-    return math.sqrt(float(np.sum((a.intensity - b.intensity) ** 2)) * a.dx)
+    return intensity_l2(a, b.intensity)
 
 
 def visibility_or_zero(pattern, window=None) -> float:
@@ -112,6 +118,22 @@ def full_grid(state):
     return JointState(grid=state.grid, amps=amps)
 
 
+def window_density(rho) -> np.ndarray:
+    """(rows, 2) density of an AtomDensity's carried rows, |factors|^2 added rank by rank."""
+    return sum(np.abs(rho.factors[:, :, k]) ** 2 for k in range(rho.rank))
+
+
+def atom_trace(rho) -> float:
+    """trace(rho) of an AtomDensity: dx times its summed window density."""
+    return float(np.sum(window_density(rho))) * rho.grid.dx
+
+
+def top_path_weight(rho) -> float:
+    """Probability of an AtomDensity on the top slit's side of MIDPOINT."""
+    x = rho.grid.x[rho.start:rho.stop]
+    return float(np.sum(window_density(rho)[x < MIDPOINT])) * rho.grid.dx
+
+
 def full_grid_atom(rho):
     """The same atomic density with a factor row for every grid point (start = 0)."""
     factors = np.zeros((rho.grid.n_points,) + rho.factors.shape[1:], dtype=complex)
@@ -119,11 +141,10 @@ def full_grid_atom(rho):
     return AtomDensity(grid=rho.grid, factors=factors, discarded_weight=rho.discarded_weight)
 
 
-def flown_full_grid(rho, t_prime: float):
+def flown_factors(rho, t_prime: float) -> np.ndarray:
     """The flight of every level and rank at once through one (N, 2, rank) column-major buffer.
 
-    Returns the flown full-grid AtomDensity; the flight flies one level at a
-    time, and its readouts must equal this one's bit for bit.
+    Returns the flown full-grid factors.
     """
     grid = rho.grid
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
@@ -132,7 +153,16 @@ def flown_full_grid(rho, t_prime: float):
     factors[rho.start:rho.stop] = rho.factors
     np.fft.fft(factors, axis=0, out=factors)
     np.multiply(kernel[:, None, None], factors, out=factors)
-    return AtomDensity(grid=grid, factors=np.fft.ifft(factors, axis=0, out=factors))
+    return np.fft.ifft(factors, axis=0, out=factors)
+
+
+def flown_full_grid(rho, t_prime: float):
+    """The ScreenDensity of flown_factors: their density added rank by rank, their Gram times dx.
+
+    The flight flies one level at a time, and its readouts must equal this one's bit for bit.
+    """
+    flown = AtomDensity(grid=rho.grid, factors=flown_factors(rho, t_prime))
+    return ScreenDensity(grid=rho.grid, density=window_density(flown), gram=flown.gram)
 
 
 def unkicked_local_pattern(prep, alpha, theta_int: float, grid, t_prime: float,
@@ -163,8 +193,8 @@ def unkicked_local_pattern(prep, alpha, theta_int: float, grid, t_prime: float,
 
 
 def assert_same_readouts(got, want) -> None:
-    """Diagonal, Gram, boundary weight, trace and purity of two densities agree bit for bit."""
-    assert np.array_equal(got.diagonal(), want.diagonal()), "diagonal"
+    """Density, Gram, boundary weight, trace and purity of two ScreenDensity agree bit for bit."""
+    assert np.array_equal(got.density, want.density), "density"
     assert np.array_equal(got.gram, want.gram), "gram"
     assert got.boundary_weight() == want.boundary_weight(), "boundary weight"
     assert got.trace() == want.trace(), "trace"

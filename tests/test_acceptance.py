@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from analytic import fidelity, pattern_l2, two_slit_intensity, visibility_or_zero
+from analytic import (fidelity, intensity_l2, pattern_l2, top_path_weight, two_slit_intensity,
+                      visibility_or_zero)
 from conftest import kick_row
 from duality_sim.duality import SPHERE_CASE_NAMES, gamma_of_phi, metrics
 from duality_sim.evolution import InteractionParams, branch_multipliers
@@ -127,7 +128,7 @@ def test_criterion_6_stage1_fresnel_oracle(stage1_results):
     pattern = stage1_results["V1"].pattern
     oracle = two_slit_intensity(GridSpec(), (X_TOP, X_BOTTOM),
                                 (INV_SQRT2, INV_SQRT2), SIGMA, 3.0)
-    err = math.sqrt(float(np.sum((pattern.intensity - oracle) ** 2)) * pattern.dx)
+    err = intensity_l2(pattern, oracle)
     report(6, "stage-1 pattern matches the closed-form two-slit solution",
            err < 1e-6, f"L2 error {err:.2e}")
 
@@ -152,13 +153,10 @@ def test_criterion_8_eraser_restoration(stage1_results):
 
 
 def test_criterion_9_which_path_readout(stage2_v1_state):
-    grid = GridSpec()
-    mid = MIDPOINT
     weights = {}
     for chi in (-ALPHA, ALPHA):
         rho, _ = condition_on_quadrature(stage2_v1_state, 0.0, chi)
-        dens = rho.diagonal().sum(axis=1)
-        weights[chi] = float(np.sum(dens[grid.x < mid])) * grid.dx
+        weights[chi] = top_path_weight(rho)
     ok = weights[-ALPHA] >= 0.999 and 1.0 - weights[ALPHA] >= 0.999
     report(9, "amplitude-quadrature outcomes localise the atom per path",
            ok, f"top weight {weights[-ALPHA]:.6f} / bottom weight {1-weights[ALPHA]:.6f}")

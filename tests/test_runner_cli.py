@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from analytic import unkicked_local_pattern, visibility_or_zero
+from analytic import pattern_l2, unkicked_local_pattern, visibility_or_zero
 from conftest import SMALL_NUMERIC
 from duality_sim import runner, runtime
 from duality_sim.cli import main
@@ -20,6 +20,7 @@ from duality_sim.duality import SPHERE_CASE_NAMES
 from duality_sim.errors import ConfigError
 from duality_sim.fock import coherent_state
 from duality_sim.interferometer import JointState, build_initial, interact
+from duality_sim.propagation import WAVELENGTH
 from duality_sim.runner import (ExperimentConfig, epsilon_sweep, load_config,
                                 most_probable_chi, run, sphere_suite)
 
@@ -189,6 +190,24 @@ class TestRun:
                                            "chi": "most-probable"}))
         assert calls == ["field_gram", "atom_columns"]
 
+    def test_emitted_densities_are_the_most_probable_scan(self, monkeypatch):
+        # the search scans the emitted quadrature_pdf.csv densities instead of
+        # evaluating the same 281 outcomes again
+        calls = []
+        real_pdf = runner.quadrature_pdf
+
+        def quadrature_pdf(state, theta, chi_samples):
+            calls.append((theta, np.size(chi_samples)))
+            return real_pdf(state, theta, chi_samples)
+
+        monkeypatch.setattr(runner, "quadrature_pdf", quadrature_pdf)
+        readout = {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}
+        emitted = run(small_config(stage=2, case="VDC", readout=readout, emit_quadrature_pdf=True))
+        assert calls == [(0.0, 281)]
+        plain = run(small_config(stage=2, case="VDC", readout=readout))
+        assert emitted.diagnostics == plain.diagnostics
+        assert np.array_equal(emitted.pattern.intensity, plain.pattern.intensity)
+
     def test_most_probable_chi_deterministic(self):
         from duality_sim.evolution import InteractionParams
         from duality_sim.interferometer import (GridSpec, PreparationParams,
@@ -338,16 +357,12 @@ class TestSphereSuite:
     def test_most_probable_phase_outcome_restores_stage1(self):
         # the most probable phase-quadrature outcome is ~0, so conditioning
         # on it should hand back the field-free pattern
-        import numpy as np
-
         stage1 = run(small_config(stage=1, case="VD"))
         erased = run(small_config(stage=2, case="VD",
                                   readout={"type": "quadrature",
                                            "theta": math.pi / 2,
                                            "chi": "most-probable"}))
-        dist = math.sqrt(float(np.sum(
-            (stage1.pattern.intensity - erased.pattern.intensity) ** 2)) * stage1.pattern.dx)
-        assert dist < 1e-2
+        assert pattern_l2(stage1.pattern, erased.pattern) < 1e-2
 
 
 class TestCli:
@@ -625,7 +640,10 @@ def test_any_run_config_exits_with_a_documented_code(data):
 
 
 def assert_documented_exit(command, data):
-    """The command on a config file of data exits 0, 2 or 3; on 0 it wrote only finite numbers."""
+    """The command on a config file of data exits 0, 2 or 3.
+
+    On 0 it wrote only finite numbers, and each run it wrote obeys the run invariants.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(data))
@@ -640,6 +658,34 @@ def assert_documented_exit(command, data):
                 else:
                     numbers = json_numbers(json.loads(path.read_text()))
                     assert all(math.isfinite(n) for n in numbers), path
+            for path in written:
+                if path.name == "diagnostics.json":
+                    assert_run_invariants(path.parent)
+
+
+def assert_run_invariants(run_dir):
+    """A written run has unit trace, a flight that keeps its purity, a non-negative pattern
+    that integrates to the trace, a boundary weight within tolerance and a closed weight ledger.
+    """
+    diag = json.loads((run_dir / "diagnostics.json").read_text())
+    numeric = json.loads((run_dir / "metrics.json").read_text())["config"]["numeric"]
+    trace = diag["trace"]
+    assert abs(trace - 1.0) <= 1e-12, trace
+    before, after = diag["purity_before_flight"], diag["purity_after_flight"]
+    assert abs(after - before) <= 1e-12, (before, after)
+    assert max(before, after) <= 1.0 + 1e-12, (before, after)
+    intensity = np.loadtxt(run_dir / "pattern.csv", delimiter=",", skiprows=1)[:, 1]
+    assert (intensity >= 0.0).all()
+    grid = numeric["grid"]
+    dx = (grid["x_max"] - grid["x_min"]) / grid["n_points"] / WAVELENGTH
+    # looser: each of the n_points values is written at 9 significant digits, so the
+    # sum may be off by 5e-9 of the trace
+    assert abs(float(np.sum(intensity)) * dx - trace) <= 1e-8
+    assert diag["boundary_weight"] <= numeric["boundary_tolerance"]
+    if "post_interaction_norm_sq" in diag:  # stages 2 and 3
+        ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
+                  - diag["truncation_loss"])
+        assert abs(ledger) <= 1e-12, ledger
 
 
 # base configs at small numerics: a grid that samples the slit packets, one

@@ -78,8 +78,10 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     """{"b": (stay, cross, leak), "c": (stay, cross, leak)}, each of shape(x) + (n_max,).
 
     stay[m] scales the amplitude that keeps its level and photon number,
-    cross[m] the one moving |b, m> -> |c, m+1> or |c, m> -> |b, m-1>; leak is
-    the |a> population per unit input weight, None in dispersive mode.
+    cross[m] the one moving |b, m> -> |c, m+1> or |c, m> -> |b, m-1>; leak[m]
+    the one moving it to |a, m> or |a, m-1>, up to a phase the pair shares, so
+    the two members of a pair add coherently there and |leak|^2 is the |a>
+    population per unit input weight.  leak is None in dispersive mode.
     """
     if mode not in ("dispersive", "exact"):
         raise ValueError(f"unknown interaction mode {mode!r}")
@@ -115,14 +117,15 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     else:
         ring = np.exp(1j * params.theta_int * total) - 1.0
 
-    def level(pairs, numer, amp):
+    def level(pairs, numer, amp, coupling):
         off, ring_k, safe_k = degenerate[..., pairs], ring[..., pairs], safe[..., pairs]
         stay = np.where(off, 1.0 + 0.0j, 1.0 + numer * ring_k / safe_k)
         cross = np.where(off, 0.0 + 0.0j, cq * cc * amp * np.sqrt(k[pairs]) * ring_k / safe_k)
         if sinc is None:
             return stay, cross, None
-        return stay, cross, np.where(off, 0.0, numer * sinc[..., pairs] * sinc[..., pairs])
+        return stay, cross, np.where(off, 0.0j, coupling * sinc[..., pairs])
 
-    # |b, m> reads pair k = m+1, |c, m> pair k = m
-    return {"b": level(slice(1, None), drive, eps),
-            "c": level(slice(None, -1), photon[..., :-1], np.conj(eps))}
+    # |b, m> reads pair k = m+1, |c, m> pair k = m; both couple to |a, k-1>, the
+    # drive by eps cos(x), the quantum mode by sqrt(k) cos(3x)
+    return {"b": level(slice(1, None), drive, eps, cc * eps),
+            "c": level(slice(None, -1), photon[..., :-1], np.conj(eps), cq * np.sqrt(k[:-1]))}

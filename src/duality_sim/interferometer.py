@@ -268,10 +268,10 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     Each level's Fock vector is replaced by its stay/cross branches; the
     photon-raising branch that falls off the truncation is accumulated
     into the truncation-loss diagnostic and trips TruncationError above
-    tail_tol.  In exact mode the weight leaked to the excited level is
-    reported as the state's leak rather than tracked as a state
-    (dispersive mode leaks nothing).  The map is diagonal in position, so
-    the output covers the input's window.
+    tail_tol.  In exact mode the weight leaked to the excited level, where
+    the two members of each pair add coherently, is reported as the state's
+    leak rather than tracked as a state (dispersive mode leaks nothing).
+    The map is diagonal in position, so the output covers the input's window.
 
     The multipliers reach the rows in blocks (rows, at): rows take row(s) at
     of the multipliers, by broadcasting.  "slit" evaluates them at the two
@@ -293,33 +293,32 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     out_c = out[:, LEVEL_INDEX["c"], :]
     # per-row products, each summed once over all rows
     fallen = np.empty(len(in_b), dtype=complex)
-    leaked = None if mode == "dispersive" else np.empty(in_b.shape)
+    # excited[:, m] is the |a, m> amplitude, fed by |b, m> and |c, m+1> coherently
+    excited = None if mode == "dispersive" else np.empty(in_b.shape, dtype=complex)
 
     # |b>|m> -> |c>|m+1>; the top row falls off the truncation
-    stay, cross, rate = levels.pop("b")
+    stay, cross, to_a = levels.pop("b")
     for rows, at in blocks:
         np.multiply(stay[at], in_b[rows], out=out_b[rows])
         np.multiply(cross[at, :-1], in_b[rows, :-1], out=out_c[rows, 1:])
         np.multiply(cross[at, -1], in_b[rows, -1], out=fallen[rows])
-        if leaked is not None:
-            np.multiply(rate[at], np.abs(in_b[rows]) ** 2, out=leaked[rows])
+        if excited is not None:
+            np.multiply(to_a[at], in_b[rows], out=excited[rows])
     truncation_loss = float(np.sum(np.abs(fallen) ** 2)) * state.grid.dx
     if not truncation_loss <= tail_tol:  # NaN fails too
         raise TruncationError(
             f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
             f"(tolerance {tail_tol:.1e}); increase n_max"
         )
-    leak = 0.0 if leaked is None else float(np.sum(leaked))
 
     # |c>|m> -> |b>|m-1>; popped, so the |b> multipliers are freed first
-    stay, cross, rate = levels.pop("c")
+    stay, cross, to_a = levels.pop("c")
     for rows, at in blocks:
         out_c[rows] += stay[at] * in_c[rows]
         out_b[rows, :-1] += cross[at, 1:] * in_c[rows, 1:]
-        if leaked is not None:
-            np.multiply(rate[at], np.abs(in_c[rows]) ** 2, out=leaked[rows])
-    if leaked is not None:
-        leak = (leak + float(np.sum(leaked))) * state.grid.dx
+        if excited is not None:
+            excited[rows, :-1] += to_a[at, 1:] * in_c[rows, 1:]
+    leak = 0.0 if excited is None else float(np.sum(np.abs(excited) ** 2)) * state.grid.dx
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
 

@@ -115,7 +115,7 @@ def test_criterion_5_exact_dispersive_convergence():
             worst = max(worst,
                         float(np.max(np.abs((sd - se) * field))),
                         float(np.max(np.abs((cd - ce) * field))))
-            leak_worst = max(leak_worst, float(np.sum(leak * weights)))
+            leak_worst = max(leak_worst, float(np.sum(np.abs(leak) ** 2 * weights)))
         devs.append(worst)
         leaks.append(leak_worst)
     monotone = all(a > b for a, b in zip(devs, devs[1:]))

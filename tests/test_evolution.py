@@ -19,7 +19,8 @@ def coupled_multipliers(level, g1, g2, eps, theta, n_max, detuning=None):
     """(stay, cross, leak) of one input level from the closed form, couplings g1, g2 given.
 
     Dispersive without a detuning (leak None), exact with one (g = 1, so the
-    coupling time is theta * detuning).  n_eff is m+1 from |b> and m from |c>.
+    coupling time is theta * detuning); leak is the |a> amplitude factor.
+    n_eff is m+1 from |b> and m from |c>.
     Where A + B is below 1e-200 the map is taken as the identity: the
     correction is below 1e-200 * theta there.
     """
@@ -28,6 +29,7 @@ def coupled_multipliers(level, g1, g2, eps, theta, n_max, detuning=None):
     total = quantum + drive
     numer = drive if level == "b" else quantum
     amp = eps if level == "b" else np.conj(eps)
+    coupling = g2 * eps if level == "b" else g1 * np.sqrt(n_eff)
     leak = None
     if detuning is None:
         ring = np.exp(1j * theta * total) - 1.0
@@ -37,7 +39,7 @@ def coupled_multipliers(level, g1, g2, eps, theta, n_max, detuning=None):
         root = np.sqrt(total + detuning * detuning / 4.0)
         ring = (np.exp(-0.5j * detuning * gt)
                 * (np.cos(root * gt) + 0.5j * detuning * np.sin(root * gt) / root) - 1.0)
-        leak = np.where(total > 1e-200, numer * (np.sin(root * gt) / root) ** 2, 0.0)
+        leak = np.where(total > 1e-200, coupling * np.sin(root * gt) / root, 0.0)
     with np.errstate(all="ignore"):
         stay = np.where(total > 1e-200, 1.0 + numer * ring / total, 1.0)
         cross = np.where(total > 1e-200, g1 * g2 * amp * np.sqrt(n_eff) * ring / total, 0.0)
@@ -201,7 +203,7 @@ class TestExactRow:
         params = InteractionParams(epsilon=3.0, theta_int=math.pi, detuning_ratio=13.7)
         for level in ("b", "c"):
             stay, cross, leak = branch_multipliers(0.37, params, 64, mode="exact")[level]
-            total = np.abs(stay) ** 2 + np.abs(cross) ** 2 + leak
+            total = np.abs(stay) ** 2 + np.abs(cross) ** 2 + np.abs(leak) ** 2
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_dispersive_limit(self):

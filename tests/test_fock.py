@@ -280,43 +280,54 @@ def csv_oracle(header, x, rows) -> bytes:
     ).encode("ascii")
 
 
+def few_ulps_from(centres):
+    """Values within 4 ulps of centres, of either sign."""
+    return st.builds(lambda c, n, sign: sign * (c + n * math.ulp(c)), centres,
+                     st.integers(-4, 4), st.sampled_from([1.0, -1.0]))
+
+
+# every value class the writer formats: any float (nan, inf, subnormals, +-0), the edge
+# values, values next to a 9-digit rounding tie (m + 0.5) 10^k or a power of ten, and
+# the [10, 1e9) range of a wide grid's x axis
+CSV_CELLS = st.one_of(
+    st.floats(), st.sampled_from(CSV_EDGE_VALUES),
+    few_ulps_from(st.builds(lambda m, k: (m + 0.5) * 10.0 ** k,
+                            st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-300, 290))),
+    few_ulps_from(st.integers(-300, 300).map(lambda k: float(f"1e{k}"))),
+    st.floats(10.0, 1e9, exclude_max=True))
+
+
 @settings(max_examples=30, deadline=None)
-@given(x=st.lists(st.one_of(st.floats(), st.sampled_from(CSV_EDGE_VALUES)),
-                  min_size=1, max_size=300),
-       width=st.sampled_from([1, 2, 141]), seed=st.integers(0, 2**32 - 1))
-def test_cached_row_templates_bytes_match_the_format_spec(x, width, seed):
-    # the row templates are cached by x's bytes and the row width: no write may
-    # reuse templates built for other x values or another width
-    cache, rng, x = fock._row_templates, np.random.default_rng(seed), np.array(x)
-
-    def rows(w, n=x.size):
-        values = rng.standard_normal((n, w)) * 10.0 ** rng.integers(-320, 300, (n, w))
-        picks = rng.integers(0, values.size, values.size // 4)
-        values.flat[picks] = rng.choice(CSV_EDGE_VALUES, picks.size)
-        return values
-
+@given(cells=st.lists(CSV_CELLS, min_size=1, max_size=300), width=st.sampled_from([1, 2, 141]),
+       chunks=st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 1)]), seed=st.integers(0, 2**32 - 1))
+def test_vectorised_writer_bytes_match_the_format_spec(cells, width, chunks, seed):
+    # the drawn cells, scattered over a table whose row count is just short of, at or
+    # past the end of one of the writer's chunks, or past two
+    per_chunk = fock.CHUNK_CELLS // (width + 1)
+    rows = chunks[0] * per_chunk + chunks[1]
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, width + 1)) * 10.0 ** rng.integers(-320, 300, (rows, 1))
+    table.flat[rng.choice(table.size, len(cells), replace=False)] = cells
+    x, values = table[:, 0], table[:, 1:]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "columns.csv"
+        write_columns(path, "x,values", x, values[:, 0] if width == 1 else values)
+        assert path.read_bytes() == csv_oracle("x,values", x, values)
 
-        def check(axis, values, misses, hits):
-            write_columns(path, "x,values", axis, values)
-            assert path.read_bytes() == csv_oracle("x,values", axis, values)
-            info = cache.cache_info()
-            assert (info.misses, info.hits) == (misses, hits)
-            assert info.currsize <= info.maxsize
 
-        cache.cache_clear()
-        check(x, rows(width), 1, 0)
-        check(x, rows(width), 1, 1)
-        check(x, rows(2 if width == 1 else 1), 2, 1)
-        i = rng.integers(x.size)
-        x[i] = 2.0 if x[i] == 1.0 else 1.0
-        check(x, rows(width), 3, 1)
-        cache.cache_clear()
-        check(x, rows(width), 1, 0)
-        for k in range(cache.cache_info().maxsize + 1):
-            check(np.append(x, k), rows(1, x.size + 1), 2 + k, 0)
-        assert cache.cache_info().currsize == cache.cache_info().maxsize
+def test_write_columns_memory_is_bounded_by_the_chunk(tmp_path):
+    # the writer formats and writes CHUNK_CELLS cells at a time, so four times the
+    # rows leave its peak where it was
+    def peak(rows):
+        x, values = np.linspace(-40.0, 42.0, rows), np.random.default_rng(3).random(rows)
+        tracemalloc.start()
+        try:
+            write_columns(tmp_path / "pattern.csv", "x_lambda,intensity", x, values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(65536) <= 1.2 * peak(16384)
 
 
 class TestOverlap:

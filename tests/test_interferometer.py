@@ -6,6 +6,7 @@ import pytest
 
 from analytic import atom_trace, dense_rho, fidelity, full_grid_atom, top_path_weight
 from duality_sim import interferometer
+from duality_sim.duality import sphere_case
 from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
                                  NumericRangeError)
 from duality_sim.evolution import InteractionParams
@@ -95,6 +96,22 @@ class TestInteract:
         params = InteractionParams(epsilon=3.0, theta_int=math.pi)
         state = interact(build_initial(prep_v1(), ALPHA, default_grid, 96), params)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prep, epsilon", [
+        (PreparationParams(*sphere_case("CV")), 1.0),
+        (PreparationParams(*sphere_case("VDC")), 2.5),
+        (PreparationParams(0.6 - 0.3j, math.sqrt(0.55) * 1j, 0.9), -0.8 + 0.4j),
+    ])
+    @pytest.mark.parametrize("kick", ["slit", "local"])
+    def test_exact_leak_closes_the_weight_ledger(self, default_grid, prep, epsilon, kick):
+        # where one path carries both levels, |b, k-1> and |c, k> leak into the
+        # same |a, k-1> amplitude, so their leaks add coherently
+        params = InteractionParams(epsilon=epsilon, theta_int=1.0, detuning_ratio=20.0)
+        before = build_initial(prep, ALPHA, default_grid, 96)
+        after = interact(before, params, mode="exact", kick=kick)
+        assert after.leak > 1e-4
+        ledger = before.norm_sq() - after.norm_sq() - after.leak - after.truncation_loss
+        assert abs(ledger) <= 1e-15
 
     def test_node_point_untouched_by_local_kick(self):
         # grid built so the node itself is (up to one ulp) a sample point

@@ -635,6 +635,10 @@ def json_numbers(value):
 @example(data={"stage": 2, "case": "V1", "alpha": 0.0, "t_prime": 0.0, "mode": "exact",
                "numeric": {"n_max": 1, "grid": {"n_points": 768},
                            "detuning_ratio": 1.1125369292536007e-308}})
+# CV carries both levels on the top path: its exact-mode leak missed the two
+# levels' interference in |a>, so the weight ledger was off by 7e-5
+@example(data={"stage": 3, "case": "CV", "epsilon": 1.0, "theta_int": 1.0, "mode": "exact",
+               "numeric": {"n_max": 31, "grid": {"n_points": 768}}})
 def test_any_run_config_exits_with_a_documented_code(data):
     assert_documented_exit(["run"], data)
 

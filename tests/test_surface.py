@@ -108,9 +108,10 @@ def test_every_work_counter_counts_a_traced_run():
     assert layers == set(COUNTED_ARGUMENTS)
 
 
-def test_only_the_row_templates_format_at_nine_digits():
-    # every CSV body goes through write_columns' cached row templates; the one
-    # other 9-digit format is the y-axis header of QGrid.to_csv
+def test_only_the_writer_fallback_formats_at_nine_digits():
+    # every CSV cell, the y-axis header of QGrid.to_csv included, goes through
+    # the writer's numpy formatter; CPython's %.9g formats only the cells it
+    # leaves to its fallback
     def formats(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
@@ -123,4 +124,4 @@ def test_only_the_row_templates_format_at_nine_digits():
     package = Path(duality_sim.__file__).parent
     found = {name for path in package.glob("*.py")
              for name in formats(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))}
-    assert found == {"fock._row_templates", "fock.QGrid.to_csv"}
+    assert found == {"fock._csv_rows"}

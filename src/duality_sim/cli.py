@@ -11,14 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-tolerance failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, NumericError
-from .runner import (DEFAULT_ALPHA, ExperimentConfig, epsilon_sweep, load_config,
-                     read_config, run, sphere_suite)
+from .runner import (ExperimentConfig, _write_json, epsilon_sweep, load_config, read_config,
+                     run, sphere_suite)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,16 +43,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--level", required=True, choices=["b", "c"])
     p_sweep.add_argument("--values", default="0,1,3,5,9",
                          help="comma-separated epsilon values")
-    p_sweep.add_argument("--config", help="optional base config for numerics")
+    p_sweep.add_argument("--config", help="optional base config; flags override it")
     p_sweep.add_argument("--alpha", type=float)
     p_sweep.add_argument("--out", default="out/sweep-epsilon")
 
     p_sphere = sub.add_parser("sphere", help="run the seven named cases")
     p_sphere.add_argument("--stage", required=True, type=int, choices=[1, 2, 3])
-    p_sphere.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p_sphere.add_argument("--epsilon", type=float, default=3.0)
-    p_sphere.add_argument("--t-prime", type=float, dest="t_prime", default=3.0)
-    p_sphere.add_argument("--config", help="optional base config for numerics")
+    p_sphere.add_argument("--alpha", type=float)
+    p_sphere.add_argument("--epsilon", type=float, help="stage 3 only")
+    p_sphere.add_argument("--t-prime", type=float, dest="t_prime")
+    p_sphere.add_argument("--config", help="optional base config; flags override it")
     p_sphere.add_argument("--out", default="out/sphere")
     return parser
 
@@ -90,12 +88,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _base_config(args: argparse.Namespace, stage: int) -> ExperimentConfig:
+def _base_config(args: argparse.Namespace, stage: int, **defaults) -> ExperimentConfig:
+    """The config at stage: each value from its flag, else the base file, else defaults."""
     # a base file may leave out stage and case; what it holds is checked as written
     data = {"stage": stage, "case": "V1", **(read_config(args.config) if args.config else {})}
-    config = replace(ExperimentConfig.from_dict(data), stage=stage)
-    alpha = getattr(args, "alpha", None)
-    return config if alpha is None else replace(config, alpha=complex(alpha))
+    ExperimentConfig.from_dict(data)
+    flags = {key: getattr(args, key, None) for key in ("alpha", "epsilon", "t_prime")}
+    data = {**defaults, **data, **{k: v for k, v in flags.items() if v is not None},
+            "stage": stage}
+    if stage < 3:
+        data["epsilon"] = 0.0  # stages 1 and 2 have no classical drive
+    return ExperimentConfig.from_dict(data)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -119,16 +122,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         point.qgrid.to_csv(out / f"qgrid_eps_{tag}.csv")
         summary.append({"epsilon": point.epsilon,
                         "overlap_with_initial": point.overlap_with_initial})
-    (out / "summary.json").write_text(
-        json.dumps({"level": args.level, "points": summary}, indent=2, sort_keys=True) + "\n",
-        encoding="ascii")
+    _write_json(out / "summary.json", {"level": args.level, "points": summary})
     print(f"wrote {out} ({len(points)} sweep points, level {args.level})")
     return 0
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    base = _base_config(args, stage=args.stage)
-    results = sphere_suite(args.t_prime, args.stage, args.alpha, args.epsilon, base=base)
+    results = sphere_suite(_base_config(args, args.stage, epsilon=3.0))
     out = Path(args.out)
     for name, result in results.items():
         result.write(out / name)

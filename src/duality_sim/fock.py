@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError
-from .runtime import one_blas_thread
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,7 +243,6 @@ def rank_cut(weights: np.ndarray) -> np.ndarray:
     return weights > weights.size * np.finfo(float).eps * max(weights[-1], 0.0)
 
 
-@one_blas_thread
 def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
     """Husimi function Q(x + iy) = <beta|rho|beta> / pi on a grid, at the rank of rho.
 

@@ -39,7 +39,6 @@ from . import evolution
 from .errors import ConfigError, ImpossibleOutcomeError, NumericError, NumericRangeError, TruncationError
 from .evolution import InteractionParams
 from .fock import coherent_state, quadrature_projector, quadrature_projectors, rank_cut
-from .runtime import one_blas_thread
 
 LEVEL_INDEX = {"b": 0, "c": 1}
 X_TOP = 0.0
@@ -146,7 +145,6 @@ class JointState:
         return float(np.sum(np.abs(self.amps) ** 2)) * self.grid.dx
 
     @functools.cached_property
-    @one_blas_thread
     def field_gram(self) -> np.ndarray:
         """gram[m, n] = dx sum_g conj(amps[g, m]) amps[g, n], the transposed field density.
 
@@ -191,7 +189,6 @@ class AtomDensity:
         return self.start + self.factors.shape[0]
 
     @functools.cached_property
-    @one_blas_thread
     def gram(self) -> np.ndarray:
         return _gram(self.factors.transpose(1, 0, 2)) * self.grid.dx
 
@@ -336,7 +333,6 @@ def _gram(levels) -> np.ndarray:
     return sum(product for block in zip(*products) for product in block)
 
 
-@one_blas_thread
 def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     """Partial trace over the field at its true rank, renormalised to unit trace.
 
@@ -364,7 +360,6 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     return AtomDensity(state.grid, factors, start=state.start, discarded_weight=discarded)
 
 
-@one_blas_thread
 def condition_on_quadrature(state: JointState, theta: float, chi: float):
     """Condition the atom on the quadrature outcome chi at angle theta.
 
@@ -381,7 +376,6 @@ def condition_on_quadrature(state: JointState, theta: float, chi: float):
     return AtomDensity(state.grid, cond / math.sqrt(density), start=state.start), density
 
 
-@one_blas_thread
 def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
     """Outcome densities b_chi G b_chi^dag from the field Gram G, for a sweep of chi.
 

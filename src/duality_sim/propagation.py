@@ -26,7 +26,6 @@ from .errors import GridError, NumericRangeError, UndefinedVisibilityError
 from .evolution import PHASE_LIMIT
 from .fock import write_columns
 from .interferometer import AtomDensity, GridSpec, _gram
-from .runtime import one_blas_thread
 
 # kernel phase per unit flight time at unit spatial frequency
 DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
@@ -80,7 +79,6 @@ class ScreenDensity:
         return float(np.sum(np.abs(self.gram) ** 2))
 
 
-@one_blas_thread
 def free_propagate(rho: AtomDensity, t_prime: float,
                    boundary_tol: float = 1e-6) -> ScreenDensity:
     """Evolve the atomic density operator through a field-free flight of duration t_prime.

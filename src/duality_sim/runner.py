@@ -34,11 +34,9 @@ from .interferometer import (GridSpec, JointState, PreparationParams, build_init
                              condition_on_quadrature, field_density, interact,
                              quadrature_pdf, trace_out_field)
 from .propagation import ScreenPattern, free_propagate, fringe_visibility, screen_distribution
-from .runtime import keep_freed_memory
+from .runtime import keep_freed_memory, one_blas_thread
 
-DEFAULT_ALPHA = math.sqrt(8.0)
-DEFAULT_T_PRIME = 3.0
-CHI_SEARCH_RANGE = (-7.0, 7.0)
+CHI_AXIS = np.linspace(-7.0, 7.0, 281)
 QGRID_AXIS = np.linspace(-7.0, 7.0, 141)
 MOST_PROBABLE = "most-probable"
 
@@ -108,13 +106,13 @@ class NumericSpec:
 class ExperimentConfig:
     stage: int
     case: PreparationParams
-    alpha: complex = DEFAULT_ALPHA
+    alpha: complex = math.sqrt(8.0)
     epsilon: complex = 0.0
     theta_int: float = math.pi
     mode: str = "dispersive"
     kick: str = "slit"
     readout: ReadoutSpec = dataclass_field(default_factory=ReadoutSpec)
-    t_prime: float = DEFAULT_T_PRIME
+    t_prime: float = 3.0
     emit_qgrid: bool = False
     emit_quadrature_pdf: bool = False
     numeric: NumericSpec = dataclass_field(default_factory=NumericSpec)
@@ -264,7 +262,6 @@ class RunResult:
     visibility: float | None
     diagnostics: dict
     qgrid: QGrid | None = None
-    chi_axis: np.ndarray | None = None
     chi_pdf: np.ndarray | None = None
 
     def write(self, out_dir) -> None:
@@ -284,7 +281,7 @@ class RunResult:
         if self.qgrid is not None:
             self.qgrid.to_csv(out / "qgrid.csv")
         if self.chi_pdf is not None:
-            write_columns(out / "quadrature_pdf.csv", "chi,density", self.chi_axis, self.chi_pdf)
+            write_columns(out / "quadrature_pdf.csv", "chi,density", CHI_AXIS, self.chi_pdf)
 
 
 def _write_json(path, payload) -> None:
@@ -293,22 +290,21 @@ def _write_json(path, payload) -> None:
 
 
 def most_probable_chi(state: JointState, theta: float, scan=None) -> float:
-    """Locate the maximum of the quadrature outcome density over CHI_SEARCH_RANGE.
+    """Locate the maximum of the quadrature outcome density over CHI_AXIS.
 
     A coarse scan brackets the best peak, then golden-section search
     refines it; ties resolve towards the smaller chi, deterministically.
     Both read the densities b_chi G b_chi^dag off the field Gram G.  scan,
-    if given, is quadrature_pdf at theta on the coarse axis, already evaluated.
+    if given, is quadrature_pdf at theta on CHI_AXIS, already evaluated.
     """
-    coarse = np.linspace(*CHI_SEARCH_RANGE, 281)
-    best = int(np.argmax(quadrature_pdf(state, theta, coarse) if scan is None else scan))
+    best = int(np.argmax(quadrature_pdf(state, theta, CHI_AXIS) if scan is None else scan))
     gram = state.field_gram
 
     def density(chi):
         row = quadrature_projector(theta, chi, state.n_max)
         return float((row @ gram @ row.conj()).real)
 
-    a, b = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
+    a, b = CHI_AXIS[max(best - 1, 0)], CHI_AXIS[min(best + 1, CHI_AXIS.size - 1)]
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - ratio * (b - a), a + ratio * (b - a)
     fc, fd = density(c), density(d)
@@ -350,6 +346,7 @@ def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> J
     return state
 
 
+@one_blas_thread
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one configured experiment end to end."""
     keep_freed_memory()
@@ -366,10 +363,9 @@ def run(config: ExperimentConfig) -> RunResult:
     if config.emit_qgrid and config.stage >= 2:
         qgrid = husimi_q(field_density(state), QGRID_AXIS, QGRID_AXIS)
 
-    chi_axis = chi_pdf = None
+    chi_pdf = None
     if config.emit_quadrature_pdf and config.stage >= 2:
-        chi_axis = np.linspace(*CHI_SEARCH_RANGE, 281)
-        chi_pdf = quadrature_pdf(state, config.readout.theta, chi_axis)
+        chi_pdf = quadrature_pdf(state, config.readout.theta, CHI_AXIS)
 
     if config.readout.type == "quadrature" and config.stage >= 2:
         chi = config.readout.chi
@@ -397,7 +393,7 @@ def run(config: ExperimentConfig) -> RunResult:
     diagnostics["visibility"] = visibility
     return RunResult(config=config, pattern=pattern, metrics=duality_triple,
                      visibility=visibility, diagnostics=diagnostics,
-                     qgrid=qgrid, chi_axis=chi_axis, chi_pdf=chi_pdf)
+                     qgrid=qgrid, chi_pdf=chi_pdf)
 
 
 @dataclass(frozen=True)
@@ -407,6 +403,7 @@ class SweepPoint:
     overlap_with_initial: float
 
 
+@one_blas_thread
 def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoint]:
     """Husimi picture and initial-field overlap across classical amplitudes.
 
@@ -433,10 +430,6 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
     return points
 
 
-def sphere_suite(t_prime: float, stage: int, alpha: complex, epsilon: complex,
-                 base: ExperimentConfig) -> dict[str, RunResult]:
-    """Run all seven named sphere cases on the numerics, readout and mode of base."""
-    eps = complex(epsilon if stage == 3 else 0.0)
-    return {name: run(replace(base, stage=stage, case=_read_case(name), alpha=complex(alpha),
-                              epsilon=eps, t_prime=float(t_prime)))
-            for name in SPHERE_CASE_NAMES}
+def sphere_suite(base: ExperimentConfig) -> dict[str, RunResult]:
+    """Run all seven named sphere cases on everything of base but its case."""
+    return {name: run(replace(base, case=_read_case(name))) for name in SPHERE_CASE_NAMES}

@@ -1,7 +1,9 @@
-"""Settings of the native libraries beneath numpy; each is a no-op without its library.
+"""Run-wide settings of the native libraries beneath numpy; each is a no-op without its library.
 
-OpenBLAS workers speed small products up little, then spin for ~0.1 s holding a second core.
-By default glibc unmaps freed multi-MB arrays, so each run faulted its pages in afresh.
+runner.run and runner.epsilon_sweep apply both where a run begins; no layer below sets either.
+OpenBLAS workers speed a run's small products up little, then spin for ~0.1 s holding a
+second core, so one_blas_thread holds a whole run to one thread.  By default glibc unmaps
+freed multi-MB arrays, so each run faulted its pages in afresh.
 """
 
 from __future__ import annotations

@@ -222,25 +222,6 @@ class TestHusimi:
         with pytest.raises(NumericRangeError):
             husimi_q(np.eye(96) / 96, [300.0], [0.0])
 
-    def test_eigenproblem_runs_on_one_blas_thread(self, monkeypatch, blas_threads):
-        seen, real_eigh = [], np.linalg.eigh
-
-        def eigh(*args, **kwargs):
-            seen.append(blas_threads())
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        amps = coherent_state(ALPHA, 96)
-        husimi_q(np.outer(amps, amps.conj()), QGRID_AXIS, QGRID_AXIS)
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_blas_thread_count_restored_when_husimi_raises(self, blas_threads):
-        with pytest.raises(NumericRangeError):
-            husimi_q(np.eye(96) / 96, [300.0], [0.0])
-        assert blas_threads() == 2
-
     def test_csv_bytes_match_per_cell_format(self, tmp_path):
         # zeros, negative axis values and values down to the smallest subnormal
         rng = np.random.default_rng(11)

@@ -192,76 +192,6 @@ class TestTraceOutField:
             field_density(broken)
 
 
-class TestReadoutBlasThreads:
-    def test_trace_and_purity_use_one_thread(self, monkeypatch, blas_threads,
-                                             default_grid):
-        seen = []
-        real_eigh, real_gram = np.linalg.eigh, interferometer._gram
-
-        def eigh(*args, **kwargs):
-            seen.append(("eigh", blas_threads()))
-            return real_eigh(*args, **kwargs)
-
-        def gram(*args, **kwargs):
-            seen.append(("gram", blas_threads()))
-            return real_gram(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(interferometer, "_gram", gram)
-        rho = trace_out_field(build_initial(prep_v1(), ALPHA, default_grid, 48))
-        rho.purity()
-        assert seen == [("gram", 1), ("eigh", 1), ("gram", 1)]
-        assert blas_threads() == 2
-
-    def test_quadrature_readouts_use_one_thread(self, monkeypatch, blas_threads,
-                                                default_grid):
-        seen, real_columns = [], JointState.atom_columns
-        real_projectors = interferometer.quadrature_projectors
-
-        def atom_columns(*args, **kwargs):
-            seen.append(("atom_columns", blas_threads()))
-            return real_columns(*args, **kwargs)
-
-        def quadrature_projectors(*args, **kwargs):
-            seen.append(("projectors", blas_threads()))
-            return real_projectors(*args, **kwargs)
-
-        monkeypatch.setattr(JointState, "atom_columns", atom_columns)
-        monkeypatch.setattr(interferometer, "quadrature_projectors", quadrature_projectors)
-        state = interact(build_initial(prep_v1(), ALPHA, default_grid, 48), PI_KICK)
-        quadrature_pdf(state, 0.0, [-1.0, 1.0])
-        condition_on_quadrature(state, 0.0, ALPHA)
-        assert blas_threads() == 2
-        # far enough out that the outcome density underflows the 1e-300 floor
-        with pytest.raises(ImpossibleOutcomeError):
-            condition_on_quadrature(state, 0.0, -26.0)
-        assert seen == [("projectors", 1), ("atom_columns", 1), ("atom_columns", 1)]
-        assert blas_threads() == 2
-
-    def test_field_gram_is_computed_once_on_one_thread(self, monkeypatch, blas_threads,
-                                                       default_grid):
-        seen, real_gram = [], interferometer._gram
-
-        def gram(*args, **kwargs):
-            seen.append(blas_threads())
-            return real_gram(*args, **kwargs)
-
-        monkeypatch.setattr(interferometer, "_gram", gram)
-        state = interact(build_initial(prep_v1(), ALPHA, default_grid, 48), PI_KICK)
-        field_density(state)
-        quadrature_pdf(state, 0.0, [-1.0, 1.0])
-        trace_out_field(state)
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    def test_count_restored_when_trace_raises(self, blas_threads, default_grid):
-        state = build_initial(prep_v1(), ALPHA, default_grid, 32)
-        zero = JointState(grid=state.grid, amps=np.zeros_like(state.amps))
-        with pytest.raises(NumericError):
-            trace_out_field(zero)
-        assert blas_threads() == 2
-
-
 @pytest.fixture(scope="module")
 def kicked(default_grid):
     return interact(build_initial(prep_v1(), ALPHA, default_grid, 96), PI_KICK)
@@ -321,6 +251,20 @@ class TestConditioning:
 
 
 class TestFieldDensity:
+    def test_field_gram_is_computed_once(self, monkeypatch, default_grid):
+        calls, real_gram = [], interferometer._gram
+
+        def gram(*args, **kwargs):
+            calls.append(1)
+            return real_gram(*args, **kwargs)
+
+        monkeypatch.setattr(interferometer, "_gram", gram)
+        state = interact(build_initial(prep_v1(), ALPHA, default_grid, 48), PI_KICK)
+        field_density(state)
+        quadrature_pdf(state, 0.0, [-1.0, 1.0])
+        trace_out_field(state)
+        assert calls == [1]
+
     def test_product_state_field(self, default_grid):
         state = build_initial(prep_v1(), ALPHA, default_grid, 64)
         rho_f = field_density(state)

@@ -29,7 +29,7 @@ from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, WEIGHT_FLOOR, X_B
                                         _slit_profile, build_initial, condition_on_quadrature,
                                         field_density, interact, quadrature_pdf, trace_out_field)
 from duality_sim.propagation import free_propagate, screen_distribution
-from duality_sim.runner import CHI_SEARCH_RANGE, ExperimentConfig, most_probable_chi
+from duality_sim.runner import CHI_AXIS, ExperimentConfig, most_probable_chi
 
 TAIL_TOLERANCE = 1e-9
 REFERENCE_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference.npz"
@@ -254,8 +254,8 @@ def test_windowed_readouts_match_the_full_grid(case, theta):
     _, pattern = screen(trace_out_field(windowed, tail_tol=TAIL_TOLERANCE))
     _, pattern_full = screen(trace_out_field(oracle, tail_tol=TAIL_TOLERANCE))
     assert np.max(np.abs(pattern - pattern_full)) <= 1e-12
-    chis = np.linspace(*CHI_SEARCH_RANGE, 281)
-    pdf, pdf_full = quadrature_pdf(windowed, theta, chis), quadrature_pdf(oracle, theta, chis)
+    pdf = quadrature_pdf(windowed, theta, CHI_AXIS)
+    pdf_full = quadrature_pdf(oracle, theta, CHI_AXIS)
     # relative to the peak: the two Grams sum their rows in different orders, and
     # in the far tails both densities are rounding
     assert np.max(np.abs(pdf - pdf_full)) <= 1e-13 * np.max(pdf_full)
@@ -300,8 +300,7 @@ def test_field_readouts_match_the_uncached_gram(case):
 def test_quadrature_pdf_from_the_gram_matches_the_joint_state(case, theta):
     state, params, mode, kick = case
     state = interact(state, params, mode=mode, kick=kick, tail_tol=TAIL_TOLERANCE)
-    chis = np.linspace(*CHI_SEARCH_RANGE, 281)
-    pdf, oracle = quadrature_pdf(state, theta, chis), joint_state_pdf(state, theta, chis)
+    pdf, oracle = quadrature_pdf(state, theta, CHI_AXIS), joint_state_pdf(state, theta, CHI_AXIS)
     # relative to the peak: in the far tails (densities of 1e-40) both are
     # rounding, b G b^dag of order eps times the peak, so neither is a reference
     assert np.max(np.abs(pdf - oracle)) <= 1e-13 * np.max(oracle)
@@ -362,8 +361,7 @@ def test_readouts_of_the_cut_state_match_the_uncut_state(case, theta):
     pattern = screen(trace_out_field(cut, tail_tol=TAIL_TOLERANCE))[1]
     want = screen(trace_out_field(oracle, tail_tol=TAIL_TOLERANCE))[1]
     assert np.max(np.abs(pattern - want)) <= 1e-13 * np.max(want)
-    chis = np.linspace(*CHI_SEARCH_RANGE, 281)
-    pdf, want = quadrature_pdf(cut, theta, chis), quadrature_pdf(oracle, theta, chis)
+    pdf, want = quadrature_pdf(cut, theta, CHI_AXIS), quadrature_pdf(oracle, theta, CHI_AXIS)
     assert np.max(np.abs(pdf - want)) <= 1e-13 * np.max(want)
     rho, want = np.zeros((N_MAX, N_MAX), dtype=complex), field_density(oracle)
     rho[:cut.n_max, :cut.n_max] = field_density(cut)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from analytic import pattern_l2, unkicked_local_pattern, visibility_or_zero
 from conftest import SMALL_NUMERIC
-from duality_sim import runner, runtime
+from duality_sim import interferometer, propagation, runner, runtime
 from duality_sim.cli import main
 from duality_sim.duality import SPHERE_CASE_NAMES
-from duality_sim.errors import ConfigError
+from duality_sim.errors import ConfigError, GridError
 from duality_sim.fock import coherent_state
 from duality_sim.interferometer import JointState, build_initial, interact
 from duality_sim.propagation import WAVELENGTH
@@ -149,7 +149,7 @@ class TestRun:
         pattern = result.pattern
         for name, header, x, v in (
                 ("pattern.csv", "x_lambda,intensity", pattern.x_axis, pattern.intensity),
-                ("quadrature_pdf.csv", "chi,density", result.chi_axis, result.chi_pdf)):
+                ("quadrature_pdf.csv", "chi,density", runner.CHI_AXIS, result.chi_pdf)):
             oracle = header + "\n" + "".join(f"{a:.9g},{b:.9g}\n" for a, b in zip(x, v))
             assert (tmp_path / name).read_bytes() == oracle.encode("ascii")
 
@@ -298,6 +298,57 @@ class TestFreedMemory:
         assert faults[1] < 64, faults
 
 
+@pytest.fixture
+def blas_calls(monkeypatch, blas_threads):
+    """(call, OpenBLAS thread count) of each BLAS-bound call, as it is made."""
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, blas_threads()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    record(np.linalg, "eigh")
+    record(interferometer, "_gram")
+    record(propagation, "_gram")  # the flight's own binding of the Gram routine
+    record(JointState, "atom_columns")
+    record(interferometer, "quadrature_projectors")
+    record(runner, "quadrature_projector")  # each golden-section probe of most_probable_chi
+    return calls
+
+
+class TestBlasThreads:
+    # run and epsilon_sweep hold OpenBLAS to one thread for the whole run; the
+    # fixture sets the count to 2 beforehand, and each run must hand it back
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: run(small_config(stage=2)),
+         {"_gram", "eigh", "atom_columns"}),
+        (lambda: run(small_config(stage=2, emit_qgrid=True, emit_quadrature_pdf=True,
+                                  readout={"type": "quadrature", "theta": 0.0,
+                                           "chi": "most-probable"})),
+         {"_gram", "eigh", "atom_columns", "quadrature_projectors", "quadrature_projector"}),
+        (lambda: epsilon_sweep(small_config(stage=3), [0.0, 3.0], "b"),
+         {"_gram", "eigh"}),
+    ], ids=["trace", "x-most-probable", "sweep"])
+    def test_every_blas_call_of_a_run_sees_one_thread(self, blas_calls, blas_threads,
+                                                      call, expected):
+        call()
+        assert {name for name, _ in blas_calls} == expected
+        assert {count for _, count in blas_calls} == {1}
+        assert blas_threads() == 2
+
+    def test_count_restored_when_a_run_raises(self, blas_calls, blas_threads):
+        # far too long a flight for the grid: the aliasing guard trips after the flight
+        with pytest.raises(GridError):
+            run(small_config(t_prime=40.0))
+        assert blas_calls and {count for _, count in blas_calls} == {1}
+        assert blas_threads() == 2
+
+
 class TestSweep:
     def test_epsilon_sweep_orderings(self):
         base = small_config(stage=3)
@@ -342,15 +393,15 @@ class TestSweep:
 
 class TestSphereSuite:
     def test_stage1_extreme_cases_fringe_free(self):
-        results = sphere_suite(3.0, 1, ALPHA, 0.0, base=small_config())
+        results = sphere_suite(small_config())
         assert set(results) == {"V1", "VD", "D1", "DC", "C1", "CV", "VDC"}
         for name in ("D1", "C1"):
             assert results[name].visibility is None
         assert results["V1"].visibility > 0.95
 
     def test_stage2_small_alpha_restores_contrast(self):
-        big = sphere_suite(3.0, 2, ALPHA, 0.0, base=small_config())
-        small = sphere_suite(3.0, 2, 1.0, 0.0, base=small_config())
+        big = sphere_suite(small_config(stage=2))
+        small = sphere_suite(small_config(stage=2, alpha=1.0))
         for name in ("V1", "VD", "CV", "VDC"):
             assert visibility_or_zero(small[name].pattern) > visibility_or_zero(big[name].pattern)
 
@@ -436,6 +487,22 @@ class TestCli:
         for name in cases:
             diagnostics = json.loads((out / name / "diagnostics.json").read_text())
             assert diagnostics["readout"]["kind"] == "quadrature"
+
+    def test_sphere_values_come_from_flags_then_file_then_defaults(self, tmp_path):
+        def config_of(data, *flags):
+            cfg = self.write_cfg(tmp_path, {"numeric": SMALL_NUMERIC, **data})
+            out = tmp_path / "out"
+            assert main(["sphere", "--config", cfg, "--out", str(out), *flags]) == 0
+            config = json.loads((out / "VD" / "metrics.json").read_text())["config"]
+            return config["alpha"], config["epsilon"], config["t_prime"]
+
+        file_values = {"alpha": 1.0, "epsilon": 2.0, "t_prime": 1.0}
+        assert config_of(file_values, "--stage", "3") == (1.0, 2.0, 1.0)
+        assert config_of(file_values, "--stage", "3", "--alpha", "2") == (2.0, 2.0, 1.0)
+        assert config_of({}, "--stage", "3", "--t-prime", "2") == (ALPHA, 3.0, 2.0)
+        # stages 1 and 2 run without drive, whatever the file or --epsilon says
+        assert config_of({"stage": 3, **file_values}, "--stage", "2", "--epsilon", "5") == (
+            1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("command", [
         ["sphere", "--stage", "2"],

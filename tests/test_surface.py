@@ -125,3 +125,25 @@ def test_only_the_writer_fallback_formats_at_nine_digits():
     found = {name for path in package.glob("*.py")
              for name in formats(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))}
     assert found == {"fock._csv_rows"}
+
+
+def test_only_the_run_entry_points_set_run_wide_policy():
+    # runner.run and runner.epsilon_sweep set the OpenBLAS thread count and the
+    # allocator where a run begins; no layer below them applies a guard of its own
+    package = Path(duality_sim.__file__).parent
+    importers, decorated, uses = set(), set(), 0
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                if any(name.split(".")[-1] == "runtime" for name in names):
+                    importers.add(path.stem)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any("one_blas_thread" in ast.unparse(d) for d in node.decorator_list):
+                    decorated.add(f"{path.stem}.{node.name}")
+            elif path.stem != "runtime" and "one_blas_thread" in (
+                    getattr(node, "id", None), getattr(node, "attr", None)):
+                uses += 1
+    assert importers == {"runner"}
+    assert decorated == {"runner.run", "runner.epsilon_sweep"}
+    assert uses == len(decorated), "one_blas_thread is used beside the two decorators"

@@ -96,8 +96,10 @@ def _base_config(args: argparse.Namespace, stage: int, **defaults) -> Experiment
     flags = {key: getattr(args, key, None) for key in ("alpha", "epsilon", "t_prime")}
     data = {**defaults, **data, **{k: v for k, v in flags.items() if v is not None},
             "stage": stage}
-    if stage < 3:
-        data["epsilon"] = 0.0  # stages 1 and 2 have no classical drive
+    if stage < 3:  # stages 1 and 2 have no classical drive: a file's epsilon is dropped
+        if flags["epsilon"] is not None:
+            raise ConfigError(f"--epsilon drives stage 3 only; stage {stage} runs without drive")
+        data["epsilon"] = 0.0
     return ExperimentConfig.from_dict(data)
 
 

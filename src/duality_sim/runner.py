@@ -29,7 +29,7 @@ import numpy as np
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
 from .errors import ConfigError, UndefinedVisibilityError
 from .evolution import InteractionParams
-from .fock import QGrid, husimi_q, quadrature_projector, write_columns
+from .fock import QGrid, create_output, husimi_q, quadrature_projector, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
                              condition_on_quadrature, field_density, interact,
                              quadrature_pdf, trace_out_field)
@@ -285,8 +285,8 @@ class RunResult:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="ascii")
+    with create_output(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
 def most_probable_chi(state: JointState, theta: float, scan=None) -> float:

@@ -20,7 +20,7 @@ from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, GridSp
                                         PreparationParams, build_initial,
                                         condition_on_quadrature, interact, trace_out_field)
 from duality_sim.propagation import free_propagate, screen_distribution
-from duality_sim.runner import ExperimentConfig, epsilon_sweep, most_probable_chi, run
+from duality_sim.runner import ExperimentConfig, epsilon_sweep, run
 
 ALPHA = math.sqrt(8.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analytic import (assert_same_readouts, evolved_gaussian, flown_factors, flown_full_grid,
-                      full_grid_atom, gaussian_spread_sigma, intensity_l2, two_slit_intensity,
-                      window_density)
+from analytic import (assert_same_readouts, flown_factors, flown_full_grid, full_grid_atom,
+                      gaussian_spread_sigma, intensity_l2, two_slit_intensity, window_density)
 from duality_sim.errors import GridError, UndefinedVisibilityError
 from duality_sim.evolution import InteractionParams
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
-                                        GridSpec, PreparationParams, build_initial,
-                                        condition_on_quadrature, interact, trace_out_field)
+                                        GridSpec, PreparationParams, build_initial, interact,
+                                        trace_out_field)
 from duality_sim.propagation import (DISPERSION_RATE, WAVELENGTH, ScreenPattern,
                                      free_propagate, fringe_visibility,
                                      screen_distribution)

@@ -2,7 +2,9 @@ import ctypes
 import functools
 import json
 import math
+import os
 import resource
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,11 +20,11 @@ from duality_sim import interferometer, propagation, runner, runtime
 from duality_sim.cli import main
 from duality_sim.duality import SPHERE_CASE_NAMES
 from duality_sim.errors import ConfigError, GridError
-from duality_sim.fock import coherent_state
+from duality_sim.fock import coherent_state, write_columns
 from duality_sim.interferometer import JointState, build_initial, interact
 from duality_sim.propagation import WAVELENGTH
-from duality_sim.runner import (ExperimentConfig, epsilon_sweep, load_config,
-                                most_probable_chi, run, sphere_suite)
+from duality_sim.runner import (ExperimentConfig, epsilon_sweep, most_probable_chi, run,
+                                sphere_suite)
 
 ALPHA = math.sqrt(8.0)
 
@@ -500,9 +502,16 @@ class TestCli:
         assert config_of(file_values, "--stage", "3") == (1.0, 2.0, 1.0)
         assert config_of(file_values, "--stage", "3", "--alpha", "2") == (2.0, 2.0, 1.0)
         assert config_of({}, "--stage", "3", "--t-prime", "2") == (ALPHA, 3.0, 2.0)
-        # stages 1 and 2 run without drive, whatever the file or --epsilon says
-        assert config_of({"stage": 3, **file_values}, "--stage", "2", "--epsilon", "5") == (
-            1.0, 0.0, 1.0)
+        # stages 1 and 2 run without drive: a base file's epsilon is dropped, so one file
+        # serves all three stages
+        assert config_of({"stage": 3, **file_values}, "--stage", "2") == (1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("stage", ["1", "2"])
+    def test_sphere_epsilon_flag_without_drive_exits_2(self, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        assert main(["sphere", "--stage", stage, "--epsilon", "5", "--out", str(out)]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["sphere", "--stage", "2"],
@@ -628,6 +637,41 @@ class TestCli:
 
     def test_integral_float_stage_accepted(self):
         assert small_config(stage=2.0).stage == 2
+
+    def test_run_into_a_used_out_writes_what_a_fresh_out_holds(self, tmp_path):
+        # the first run, on the larger grid, leaves longer files behind; each is replaced
+        readout = {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}
+        data = {"stage": 2, "case": "VDC", "readout": readout, "emit_qgrid": True,
+                "emit_quadrature_pdf": True, "numeric": SMALL_NUMERIC}
+        larger = {**data, "numeric": {**SMALL_NUMERIC, "grid": {"n_points": 4096}}}
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        for cfg, out in ((larger, used), (data, used), (data, fresh)):
+            assert main(["run", "--config", self.write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        names = sorted(path.name for path in fresh.iterdir())
+        assert names == sorted(path.name for path in used.iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("old", ["longer", "hard-linked", "symlinked"])
+@pytest.mark.parametrize("write", [
+    lambda path: write_columns(path, "x,values", np.linspace(-1.0, 1.0, 5), np.arange(5.0)),
+    lambda path: runner._write_json(path, {"trace": 1.0, "visibility": None}),
+], ids=["columns", "json"])
+def test_a_writer_replaces_the_file_it_writes(tmp_path, write, old):
+    # the path holds exactly what a write into an empty directory holds; the file
+    # that a link at the path shares or names keeps the old bytes
+    (tmp_path / "fresh").mkdir()
+    write(tmp_path / "fresh" / "out")
+    old_bytes = b"old bytes, longer than the new file\n" * 200
+    target, other = tmp_path / "out", tmp_path / "other"
+    other.write_bytes(old_bytes)
+    {"longer": shutil.copy, "hard-linked": os.link, "symlinked": os.symlink}[old](other, target)
+    write(target)
+    assert not target.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "out").read_bytes()
+    assert other.read_bytes() == old_bytes
 
 
 # CLI-level fuzz: drawn configs run in-process at small numerics

@@ -20,7 +20,7 @@ from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParam
                              interact, quadrature_pdf, trace_out_field)
 from .propagation import (DISPERSION_RATE, ScreenDensity, ScreenPattern, free_propagate,
                           fringe_visibility, screen_distribution)
-from .runner import (ExperimentConfig, RunResult, epsilon_sweep, load_config,
-                     most_probable_chi, run, sphere_suite)
+from .runner import (ExperimentConfig, RunResult, epsilon_sweep, most_probable_chi, run,
+                     sphere_suite)
 
 __version__ = "0.1.0"

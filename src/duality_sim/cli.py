@@ -5,6 +5,8 @@ Subcommands:
   sweep-epsilon  phase-space sweep over classical drive amplitudes
   sphere         all seven named cases for one stage
 
+Each builds its config by one rule (_config): a flag, else the file, else a default.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric-tolerance failure.
 """
 
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, NumericError
-from .runner import (ExperimentConfig, _write_json, epsilon_sweep, load_config, read_config,
+from .runner import (MOST_PROBABLE, ExperimentConfig, _write_json, epsilon_sweep, read_config,
                      run, sphere_suite)
 
 
@@ -57,50 +59,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_run_overrides(data: dict, args: argparse.Namespace) -> dict:
-    for key in ("stage", "case", "alpha", "epsilon", "theta_int", "t_prime", "mode", "kick"):
-        value = getattr(args, key)
-        if value is not None:
-            data[key] = value
-    if args.readout == "trace":
+# flags named after the config key they set; each subcommand's parser has some of them
+_FLAG_KEYS = ("stage", "case", "alpha", "epsilon", "theta_int", "t_prime", "mode", "kick")
+
+
+def _config(args: argparse.Namespace, stage: int | None = None, **defaults) -> ExperimentConfig:
+    """The config a subcommand runs: each value from its flag, else the file, else defaults.
+
+    The file is checked as written first.  stage, if given, is the subcommand's own: the
+    file may then leave out stage and case, and below stage 3 its epsilon is dropped, so
+    one file serves every stage.  A flag for a field the stage lacks is a ConfigError.
+    """
+    data = read_config(args.config) if args.config else {}
+    if stage is not None:  # a base file without a stage is checked at 3, which has every field
+        data = {"stage": 3, "case": "V1", **data}
+    file_stage = ExperimentConfig.from_dict(data).stage  # the file, checked as written
+    flags = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key, None) is not None}
+    final = stage or flags.get("stage", file_stage)
+    for key, first in (("alpha", 2), ("epsilon", 3)):  # the first stage that has the field
+        if key in flags and final in range(1, first):
+            raise ConfigError(f"--{key} needs stage {first} or above; this is stage {final}")
+    data = {**defaults, **data, **flags, "stage": final}
+    if stage in (1, 2):  # the subcommand's stage has no drive: the base file's is dropped
+        data["epsilon"] = 0.0
+    readout = {key: getattr(args, key) for key in ("theta", "chi")
+               if getattr(args, key, None) is not None}
+    if readout.get("chi", MOST_PROBABLE) != MOST_PROBABLE:
+        try:
+            readout["chi"] = float(readout["chi"])
+        except ValueError:
+            raise ConfigError("--chi must be a number or 'most-probable'")
+    kind = getattr(args, "readout", None)
+    if kind == "trace" and readout:
+        raise ConfigError("--theta and --chi set a quadrature readout, not --readout trace")
+    if kind == "trace":
         data["readout"] = "trace"
-    elif args.readout == "quadrature" or args.theta is not None or args.chi is not None:
-        chi = args.chi if args.chi is not None else "most-probable"
-        if chi != "most-probable":
-            try:
-                chi = float(chi)
-            except ValueError:
-                raise ConfigError("--chi must be a number or 'most-probable'")
-        data["readout"] = {"type": "quadrature",
-                           "theta": args.theta if args.theta is not None else 0.0,
-                           "chi": chi}
-    return data
+    elif kind == "quadrature" or readout:  # the same rule again: flag, else file, else default
+        in_file = data.get("readout") if isinstance(data.get("readout"), dict) else {}
+        data["readout"] = {**in_file, "type": "quadrature", **readout}
+    return ExperimentConfig.from_dict(data)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = load_config(args.config).to_dict()
-    data = _apply_run_overrides(data, args)
-    result = run(ExperimentConfig.from_dict(data))
+    result = run(_config(args))
     result.write(args.out)
     vis = "undefined" if result.visibility is None else f"{result.visibility:.6g}"
     print(f"wrote {args.out} (V0={result.metrics.V0:.4g} D0={result.metrics.D0:.4g} "
           f"C0={result.metrics.C0:.4g} visibility={vis})")
     return 0
-
-
-def _base_config(args: argparse.Namespace, stage: int, **defaults) -> ExperimentConfig:
-    """The config at stage: each value from its flag, else the base file, else defaults."""
-    # a base file may leave out stage and case; what it holds is checked as written
-    data = {"stage": stage, "case": "V1", **(read_config(args.config) if args.config else {})}
-    ExperimentConfig.from_dict(data)
-    flags = {key: getattr(args, key, None) for key in ("alpha", "epsilon", "t_prime")}
-    data = {**defaults, **data, **{k: v for k, v in flags.items() if v is not None},
-            "stage": stage}
-    if stage < 3:  # stages 1 and 2 have no classical drive: a file's epsilon is dropped
-        if flags["epsilon"] is not None:
-            raise ConfigError(f"--epsilon drives stage 3 only; stage {stage} runs without drive")
-        data["epsilon"] = 0.0
-    return ExperimentConfig.from_dict(data)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -115,8 +121,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if tag in tags[:i]:  # one file per value: refuse values that would share one
             raise ConfigError(f"--values {values[tags.index(tag)]!r} and {values[i]!r} "
                               f"would both write qgrid_eps_{tag}.csv")
-    base = _base_config(args, stage=3)
-    points = epsilon_sweep(base, values, args.level)
+    points = epsilon_sweep(_config(args, stage=3), values, args.level)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -130,7 +135,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sphere(args: argparse.Namespace) -> int:
-    results = sphere_suite(_base_config(args, args.stage, epsilon=3.0))
+    results = sphere_suite(_config(args, args.stage, epsilon=3.0))
     out = Path(args.out)
     for name, result in results.items():
         result.write(out / name)

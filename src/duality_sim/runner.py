@@ -1,9 +1,10 @@
 """Experiment orchestration: configs, the three stages, sweeps, suites.
 
-A run executes build -> (interact) -> readout -> free flight -> screen
+A run executes build -> interact -> readout -> free flight -> screen
 pattern, and reports the preparation's duality triple next to the measured
-pattern.  Stage 1 is the bare double slit (no cavity), stage 2 adds the
-quantised mode, stage 3 adds the classical drive as well.
+pattern.  Every stage runs it; the stage chooses only the fields.  Stage 1,
+the bare double slit, has the vacuum and no drive, so its interaction is the
+identity; stage 2 adds the quantised mode, stage 3 the classical drive too.
 
 The config schema is the dataclasses themselves: each field of
 ExperimentConfig, NumericSpec and GridSpec is a JSON key of the same name,
@@ -47,7 +48,6 @@ __all__ = [
     "RunResult",
     "SweepPoint",
     "read_config",
-    "load_config",
     "run",
     "most_probable_chi",
     "epsilon_sweep",
@@ -121,8 +121,8 @@ class ExperimentConfig:
         _require(self.stage in (1, 2, 3), "stage must be 1, 2 or 3")
         _require(self.mode in ("dispersive", "exact"), "mode must be 'dispersive' or 'exact'")
         _require(self.kick in ("slit", "local"), "kick must be 'slit' or 'local'")
-        _require(self.stage != 2 or complex(self.epsilon) == 0.0,
-                 "stage 2 has no classical drive; epsilon must be 0")
+        _require(self.stage == 3 or complex(self.epsilon) == 0.0,
+                 "stages 1 and 2 have no classical drive; epsilon must be 0")
         _require(_finite(self.alpha), "alpha must be finite")
         _require(_finite(self.epsilon), "epsilon must be finite")
         _require(0.0 < self.theta_int < math.inf, "theta_int must be positive and finite")
@@ -250,10 +250,6 @@ def read_config(path) -> dict:
     return data
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(read_config(path))
-
-
 @dataclass(frozen=True)
 class RunResult:
     config: ExperimentConfig
@@ -328,7 +324,7 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
 
 
 def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> JointState:
-    """build -> interact: the joint state leaving the cavities (stage 1 has none).
+    """build -> interact: the joint state leaving the cavities (at stage 1, the vacuum).
 
     diagnostics, if given, receives the initial norm and the carried columns, rows and tails.
     """
@@ -340,10 +336,8 @@ def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> J
         diagnostics.update(initial_norm_sq=state.norm_sq(), initial_fock_tail=state.fock_tail,
                            fock_columns=state.n_max, support_rows=[state.start, state.stop],
                            initial_window_tail=state.window_tail)
-    if config.stage >= 2:
-        state = interact(state, config.interaction_params(), mode=config.mode,
-                         kick=config.kick, tail_tol=tail_tol)
-    return state
+    return interact(state, config.interaction_params(), mode=config.mode, kick=config.kick,
+                    tail_tol=tail_tol)
 
 
 @one_blas_thread
@@ -354,20 +348,18 @@ def run(config: ExperimentConfig) -> RunResult:
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
     diagnostics = {"stage": config.stage}
     state = _cavity_exit(config, diagnostics)
-
-    if config.stage >= 2:
-        diagnostics.update(leak=state.leak, truncation_loss=state.truncation_loss,
-                           post_interaction_norm_sq=state.norm_sq())
+    diagnostics.update(leak=state.leak, truncation_loss=state.truncation_loss,
+                       post_interaction_norm_sq=state.norm_sq())
 
     qgrid = None
-    if config.emit_qgrid and config.stage >= 2:
+    if config.emit_qgrid:
         qgrid = husimi_q(field_density(state), QGRID_AXIS, QGRID_AXIS)
 
     chi_pdf = None
-    if config.emit_quadrature_pdf and config.stage >= 2:
+    if config.emit_quadrature_pdf:
         chi_pdf = quadrature_pdf(state, config.readout.theta, CHI_AXIS)
 
-    if config.readout.type == "quadrature" and config.stage >= 2:
+    if config.readout.type == "quadrature":
         chi = config.readout.chi
         if chi is None:
             chi = most_probable_chi(state, config.readout.theta, chi_pdf)

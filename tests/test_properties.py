@@ -21,6 +21,7 @@ from analytic import (assert_same_readouts, atom_trace, flown_full_grid, full_gr
                       full_grid_atom, golden_section_chi, joint_state_chi, joint_state_pdf,
                       uncached_field_gram, uncut_initial)
 from conftest import SMALL_NUMERIC
+from duality_sim.duality import SPHERE_CASE_NAMES, sphere_case
 from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import coherent_state
@@ -161,6 +162,31 @@ def test_rank_is_one_without_the_field():
     rho = trace_out_field(build_initial(prep, 0.0, GRID, N_MAX))
     assert rho.rank == 1
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SPHERE_CASE_NAMES)
+       | st.tuples(two_paths(), st.floats(0.0, 2.0 * math.pi)),
+       mode=st.sampled_from(["dispersive", "exact"]), kick=st.sampled_from(["slit", "local"]),
+       n_max=st.integers(1, 96), theta_int=st.floats(0.01, 10.0),
+       detuning_ratio=st.floats(10.0, 1e3))
+def test_the_vacuum_without_drive_passes_the_cavities_unchanged(case, mode, kick, n_max,
+                                                                theta_int, detuning_ratio):
+    # stage 1 runs interact like every stage: on the vacuum without drive it is the identity
+    if isinstance(case, str):
+        prep = PreparationParams(*sphere_case(case), name=case)
+    else:
+        (c_up, c_down), phi = case
+        prep = PreparationParams(c_up, c_down, phi)
+    state = build_initial(prep, 0.0, GRID, n_max, tail_tol=TAIL_TOLERANCE)
+    out = interact(state, InteractionParams(0.0, theta_int, detuning_ratio), mode=mode, kick=kick,
+                   tail_tol=TAIL_TOLERANCE)
+    assert out.leak == 0.0 and out.truncation_loss == 0.0
+    # equal values are equal bits, up to the sign of a zero: an explicit complex case can hold
+    # -0.0, which comes out as +0.0; a sphere case keeps every bit
+    assert np.array_equal(out.amps, state.amps)
+    if prep.name is not None:
+        assert np.array_equal(out.amps.view(np.int64), state.amps.view(np.int64))
 
 
 def test_which_path_record_has_rank_two():

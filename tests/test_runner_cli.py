@@ -505,6 +505,7 @@ class TestCli:
         # stages 1 and 2 run without drive: a base file's epsilon is dropped, so one file
         # serves all three stages
         assert config_of({"stage": 3, **file_values}, "--stage", "2") == (1.0, 0.0, 1.0)
+        assert config_of(file_values, "--stage", "2") == (1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("stage", ["1", "2"])
     def test_sphere_epsilon_flag_without_drive_exits_2(self, tmp_path, capsys, stage):
@@ -512,6 +513,59 @@ class TestCli:
         assert main(["sphere", "--stage", stage, "--epsilon", "5", "--out", str(out)]) == 2
         assert "--epsilon" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, flags, named", [
+        ({}, ["sphere", "--stage", "1", "--alpha", "2"], "--alpha"),
+        ({"stage": 1}, ["run", "--alpha", "2"], "--alpha"),
+        ({"stage": 3}, ["run", "--stage", "1", "--alpha", "2"], "--alpha"),
+        ({"stage": 1}, ["run", "--epsilon", "3"], "--epsilon"),
+        ({"stage": 2}, ["run", "--epsilon", "0"], "--epsilon"),
+        ({"stage": 3}, ["run", "--stage", "2", "--epsilon", "0"], "--epsilon"),
+        ({"stage": 2}, ["run", "--readout", "trace", "--theta", "1"], "--theta"),
+    ], ids=["sphere-alpha", "run-alpha", "run-stage-alpha", "run-epsilon", "run-epsilon-0",
+            "run-stage-epsilon-0", "trace-theta"])
+    def test_a_flag_for_a_field_the_run_lacks_exits_2(self, tmp_path, capsys, data, flags,
+                                                       named):
+        cfg = self.write_cfg(tmp_path, {"case": "V1", "numeric": SMALL_NUMERIC, **data})
+        out = tmp_path / "out"
+        assert main([*flags, "--config", cfg, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_readout_flag_sets_only_its_own_field(self, tmp_path):
+        def readout_of(readout, *flags):
+            cfg = self.write_cfg(tmp_path, {"stage": 2, "case": "VD", "readout": readout,
+                                            "numeric": SMALL_NUMERIC})
+            out = tmp_path / "out"
+            assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 0
+            return json.loads((out / "metrics.json").read_text())["config"]["readout"]
+
+        erased = {"type": "quadrature", "theta": math.pi / 2, "chi": "most-probable"}
+        assert readout_of(erased, "--chi", "0.3") == {**erased, "chi": 0.3}
+        fixed = {"type": "quadrature", "theta": 0.0, "chi": 0.3}
+        assert readout_of(fixed, "--theta", "1.5") == {**fixed, "theta": 1.5}
+        assert readout_of(fixed, "--readout", "quadrature") == fixed
+        assert readout_of("trace", "--chi", "0.3") == fixed
+        assert readout_of(fixed, "--readout", "trace") == "trace"
+
+    def test_stage1_runs_its_readout_and_emits_on_the_vacuum(self, tmp_path):
+        chi = 0.3
+        cfg = self.write_cfg(tmp_path, {
+            "stage": 1, "case": "VDC", "emit_qgrid": True, "numeric": SMALL_NUMERIC,
+            "readout": {"type": "quadrature", "theta": 0.7, "chi": chi}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        readout = json.loads((out / "diagnostics.json").read_text())["readout"]
+        assert readout["kind"] == "quadrature"
+        # every quadrature of the vacuum is a Gaussian of variance 1/4
+        assert abs(readout["outcome_density"]
+                   - math.sqrt(2.0 / math.pi) * math.exp(-2.0 * chi * chi)) <= 1e-12
+        header = (out / "qgrid.csv").read_text().split("\n", 1)[0]
+        y = np.array(header.split(",")[1:], dtype=float)
+        table = np.loadtxt(out / "qgrid.csv", delimiter=",", skiprows=1)
+        x, q = table[:, 0], table[:, 1:]
+        vacuum = np.exp(-(x[:, None] ** 2 + y[None, :] ** 2)) / math.pi
+        assert np.allclose(q, vacuum, rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("command", [
         ["sphere", "--stage", "2"],
@@ -593,6 +647,7 @@ class TestCli:
         {"stage": 1, "numeric": {"tail_tolerance": 1e300,
                                  "grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 16}}},
         {"numeric": {"tail_tolerance": 1.0}},
+        {"stage": 1, "epsilon": 3.0},  # the bare double slit has no drive either
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_exit_code(self, tmp_path, overrides):
@@ -797,10 +852,9 @@ def assert_run_invariants(run_dir):
     # sum may be off by 5e-9 of the trace
     assert abs(float(np.sum(intensity)) * dx - trace) <= 1e-8
     assert diag["boundary_weight"] <= numeric["boundary_tolerance"]
-    if "post_interaction_norm_sq" in diag:  # stages 2 and 3
-        ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
-                  - diag["truncation_loss"])
-        assert abs(ledger) <= 1e-12, ledger
+    ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
+              - diag["truncation_loss"])
+    assert abs(ledger) <= 1e-12, ledger
 
 
 # base configs at small numerics: a grid that samples the slit packets, one

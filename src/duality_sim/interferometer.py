@@ -333,6 +333,24 @@ def _gram(levels) -> np.ndarray:
     return sum(product for block in zip(*products) for product in block)
 
 
+def _eigh_above_rounding(gram: np.ndarray, tail_tol: float, what: str):
+    """(weights, eigenvectors) of a Gram matrix above rounding (rank_cut), and the dropped share.
+
+    The dropped directions' share of the trace raises NumericError above tail_tol.
+    """
+    weights, vecs = np.linalg.eigh(gram)
+    weights = np.clip(weights, 0.0, None)
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        raise NumericError(f"cannot take the {what} of a zero-norm state")
+    keep = rank_cut(weights)
+    discarded = float(np.sum(weights[~keep])) / total
+    if not discarded <= tail_tol:  # NaN fails too
+        raise NumericError(f"the rank cut discarded {discarded:.3e} of the {what} "
+                           f"(tolerance {tail_tol:.1e})")
+    return weights[keep], vecs[:, keep], discarded
+
+
 def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     """Partial trace over the field at its true rank, renormalised to unit trace.
 
@@ -343,20 +361,8 @@ def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
     operator.  The weight of the dropped directions is reported as
     discarded_weight and raises NumericError above tail_tol.
     """
-    weights, vecs = np.linalg.eigh(state.field_gram)
-    weights = np.clip(weights, 0.0, None)
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        raise NumericError("cannot trace a zero-norm state")
-    keep = rank_cut(weights)
-    kept = float(np.sum(weights[keep]))
-    discarded = float(np.sum(weights[~keep])) / total
-    if not discarded <= tail_tol:  # NaN fails too
-        raise NumericError(
-            f"the rank cut discarded {discarded:.3e} of the atomic trace "
-            f"(tolerance {tail_tol:.1e})"
-        )
-    factors = state.atom_columns(vecs[:, keep] / math.sqrt(kept))
+    weights, vecs, discarded = _eigh_above_rounding(state.field_gram, tail_tol, "atomic trace")
+    factors = state.atom_columns(vecs / math.sqrt(float(np.sum(weights))))
     return AtomDensity(state.grid, factors, start=state.start, discarded_weight=discarded)
 
 

@@ -1,8 +1,8 @@
 """Free flight to the screen and screen-pattern observables.
 
-After the readout the atom evolves freely for a time t_prime.  Each factor
-column of the density operator is a wavefunction, so conjugation by the
-free propagator reduces to one spectral kernel application per column:
+After the readout the atom evolves freely for a time t_prime.  Each position
+mode of the level-traced density operator is a wavefunction, so conjugation
+by the free propagator reduces to one spectral kernel application per mode:
 
     psi_hat(k) -> exp(-i k^2 * DISPERSION_RATE * t_prime) psi_hat(k),
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridError, NumericRangeError, UndefinedVisibilityError
 from .evolution import PHASE_LIMIT
 from .fock import write_columns
-from .interferometer import AtomDensity, GridSpec, _gram
+from .interferometer import AtomDensity, GridSpec, _eigh_above_rounding, _gram
 
 # kernel phase per unit flight time at unit spatial frequency
 DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
@@ -61,11 +61,12 @@ class ScreenPattern:
 
 @dataclass(frozen=True)
 class ScreenDensity:
-    """The flown density: column-major (n_points, 2) density and Gram matrix times dx."""
+    """The flown (n_points,) level-summed density, Gram matrix times dx and mode-cut share."""
 
     grid: GridSpec
     density: np.ndarray
     gram: np.ndarray
+    discarded_weight: float = 0.0
 
     def trace(self) -> float:
         return float(np.sum(self.density)) * self.grid.dx
@@ -79,39 +80,53 @@ class ScreenDensity:
         return float(np.sum(np.abs(self.gram) ** 2))
 
 
-def free_propagate(rho: AtomDensity, t_prime: float,
-                   boundary_tol: float = 1e-6) -> ScreenDensity:
+def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
+                   tail_tol: float = 1e-9) -> ScreenDensity:
     """Evolve the atomic density operator through a field-free flight of duration t_prime.
 
-    Level b, then level c, flies through one column-major (n_points, rank)
-    buffer, so each FFT runs along a contiguous column; the level's density
-    column and Gram block products are read before the next level overwrites it.
-    The kernel is unitary, so trace, Hermiticity and purity are preserved
-    exactly; the boundary check guards against wrap-around of a state that
-    outgrew the periodic grid.  A phase DISPERSION_RATE t_prime k_max^2
+    The screen records position, not level, so the flight carries rho's position
+    modes: the eigenvectors of the Gram matrix of its 2 rank factor columns above
+    rounding (fock.rank_cut); the share of the trace they drop raises
+    NumericError above tail_tol.  The modes fly in chunks through one column-major
+    (n_points, rank) buffer, each FFT along a contiguous column; each chunk adds
+    its density and maps its Gram back through the modes' level rows (modes are
+    orthogonal, so blocks between chunks are rounding).  GridError guards against
+    a state that reaches the grid's edge, or holds weight above 3/4 of its Nyquist
+    frequency, beyond boundary_tol.  A phase DISPERSION_RATE t_prime k_max^2
     beyond evolution.PHASE_LIMIT is rounding noise: NumericRangeError.
     """
-    grid = rho.grid
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    grid, n = rho.grid, rho.grid.n_points
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dx)
     phase = DISPERSION_RATE * t_prime * float(np.max(k * k))
     if not phase <= PHASE_LIMIT:  # NaN fails too
         raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
-    flight = np.empty((grid.n_points, rho.rank), dtype=complex, order="F")
-    density = np.empty((grid.n_points, 2), order="F")  # column-major: trace sums b, then c
-
-    def fly(level):  # the level in the one buffer; _gram reads it before the next flies
-        flight[:rho.start] = flight[rho.stop:] = 0.0
-        flight[rho.start:rho.stop] = rho.factors[:, level]
-        np.fft.fft(flight, axis=0, out=flight)
-        # in place, kernel first: with the operands swapped the complex
-        # products round differently
-        np.multiply(kernel[:, None], flight, out=flight)
-        np.fft.ifft(flight, axis=0, out=flight)
-        density[:, level] = sum(np.abs(flight[:, j]) ** 2 for j in range(rho.rank))
-        return flight
-
-    out = ScreenDensity(grid=grid, density=density, gram=_gram(map(fly, range(2))) * grid.dx)
+    factors = rho.factors.reshape(len(rho.factors), 2 * rho.rank)
+    overlaps = _gram([factors]) * grid.dx
+    if not np.isfinite(overlaps).all():
+        raise GridError("the state to fly is not finite; no grid holds it")
+    _, modes, discarded = _eigh_above_rounding(overlaps, tail_tol, "flown trace")
+    flight = np.empty((n, rho.rank), dtype=complex, order="F")
+    density, gram, aliased = np.zeros(n), 0.0, 0.0
+    band = slice(3 * n // 8 + 1, n - 3 * n // 8)  # |k| above 3/4 of the Nyquist frequency
+    for i in range(0, modes.shape[1], rho.rank):
+        chunk = modes[:, i:i + rho.rank]
+        buf = flight[:, :chunk.shape[1]]
+        buf[:rho.start] = buf[rho.stop:] = 0.0
+        buf[rho.start:rho.stop] = factors @ chunk
+        np.fft.fft(buf, axis=0, out=buf)
+        floats = buf[band].T.view(float)  # per mode, each row's real and imaginary part
+        aliased += float(np.einsum("ij,ij", floats, floats)) * grid.dx / n
+        if not aliased <= boundary_tol:  # NaN fails too
+            raise GridError(f"momentum weight {aliased:.3e} near the Nyquist frequency exceeds "
+                            f"{boundary_tol:.1e}; refine the grid")
+        np.multiply(kernel[:, None], buf, out=buf)
+        np.fft.ifft(buf, axis=0, out=buf)
+        floats = buf.T.view(float)
+        density += np.einsum("ij,ij->j", floats, floats).reshape(n, 2).sum(axis=1)
+        flown = _gram([buf]) * grid.dx
+        gram += sum(w @ flown @ w.conj().T for w in chunk.reshape(2, rho.rank, -1))
+    out = ScreenDensity(grid=grid, density=density, gram=gram, discarded_weight=discarded)
     edge = out.boundary_weight()
     if not edge <= boundary_tol:  # NaN fails too
         raise GridError(
@@ -123,11 +138,7 @@ def free_propagate(rho: AtomDensity, t_prime: float,
 
 def screen_distribution(rho: ScreenDensity) -> ScreenPattern:
     """Arrival density summed over internal levels, axis in wavelengths."""
-    density = np.sum(rho.density, axis=1)
-    return ScreenPattern(
-        x_axis=rho.grid.x / WAVELENGTH,
-        intensity=density * WAVELENGTH,
-    )
+    return ScreenPattern(x_axis=rho.grid.x / WAVELENGTH, intensity=rho.density * WAVELENGTH)
 
 
 def _interior_extrema(values: np.ndarray) -> np.ndarray:

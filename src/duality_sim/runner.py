@@ -324,13 +324,12 @@ def _visibility_or_none(pattern: ScreenPattern) -> float | None:
 
 
 def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> JointState:
-    """build -> interact: the joint state leaving the cavities (at stage 1, the vacuum).
+    """build -> interact: the joint state leaving the cavities.
 
     diagnostics, if given, receives the initial norm and the carried columns, rows and tails.
     """
     tail_tol = config.numeric.tail_tolerance
-    alpha = 0.0 if config.stage == 1 else config.alpha
-    state = build_initial(config.case, alpha, config.numeric.grid, config.numeric.n_max,
+    state = build_initial(config.case, config.alpha, config.numeric.grid, config.numeric.n_max,
                           tail_tol=tail_tol)
     if diagnostics is not None:  # the norm is a pass over the state; the sweep reports none
         diagnostics.update(initial_norm_sq=state.norm_sq(), initial_fock_tail=state.fock_tail,
@@ -342,8 +341,9 @@ def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> J
 
 @one_blas_thread
 def run(config: ExperimentConfig) -> RunResult:
-    """Execute one configured experiment end to end."""
+    """Execute one configured experiment end to end; stage 1 runs, and echoes, alpha = 0."""
     keep_freed_memory()
+    config = replace(config, alpha=0.0) if config.stage == 1 else config
     prep = config.case
     duality_triple = metrics(prep.c_up, prep.c_down, gamma_of_phi(prep.phi))
     diagnostics = {"stage": config.stage}
@@ -374,7 +374,9 @@ def run(config: ExperimentConfig) -> RunResult:
     del state  # nothing reads it after the readout; free it before the flight buffer
 
     purity_before = rho.purity()
-    rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance)
+    rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance,
+                                tail_tol=config.numeric.tail_tolerance)
+    diagnostics["flight_discarded_weight"] = rho_screen.discarded_weight
     diagnostics["trace"] = rho_screen.trace()
     diagnostics["boundary_weight"] = rho_screen.boundary_weight()
     diagnostics["purity_before_flight"] = purity_before

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from analytic import (assert_same_readouts, flown_factors, flown_full_grid, full_grid_atom,
-                      gaussian_spread_sigma, intensity_l2, two_slit_intensity, window_density)
-from duality_sim.errors import GridError, UndefinedVisibilityError
+from analytic import (assert_close_readouts, full_grid_atom, gaussian_spread_sigma,
+                      intensity_l2, level_flight, two_slit_intensity, window_density)
+from conftest import SMALL_NUMERIC
+from duality_sim.errors import GridError, NumericError, UndefinedVisibilityError
 from duality_sim.evolution import InteractionParams
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
                                         GridSpec, PreparationParams, build_initial, interact,
@@ -15,6 +16,7 @@ from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDe
 from duality_sim.propagation import (DISPERSION_RATE, WAVELENGTH, ScreenPattern,
                                      free_propagate, fringe_visibility,
                                      screen_distribution)
+from duality_sim.runner import ExperimentConfig, run
 
 ALPHA = math.sqrt(8.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -24,17 +26,20 @@ def single_packet_density(default_grid, t_prime):
     prep = PreparationParams(1.0, 0.0, 0.0)
     rho = trace_out_field(build_initial(prep, 0.0, default_grid, 4))
     out = free_propagate(rho, t_prime)
-    return out, out.density.sum(axis=1)
+    return out, out.density
 
 
 class TestFreePropagate:
     def test_zero_time_is_identity(self, default_grid):
-        # the whole-buffer flight keeps the factors within 1e-14, and the
-        # flight's readouts are that flight's bit for bit
+        # the flown density and Gram are the unflown ones within 1e-14, and the
+        # readouts are the level-by-level flight's to rounding
         rho = trace_out_field(build_initial(
             PreparationParams(INV_SQRT2, INV_SQRT2, 0.0), 0.0, default_grid, 4))
-        assert np.max(np.abs(flown_factors(rho, 0.0) - full_grid_atom(rho).factors)) < 1e-14
-        assert_same_readouts(free_propagate(rho, 0.0), flown_full_grid(rho, 0.0))
+        out = free_propagate(rho, 0.0)
+        unflown = window_density(full_grid_atom(rho)).sum(axis=1)
+        assert np.max(np.abs(out.density - unflown)) <= 1e-14 * np.max(unflown)
+        assert np.max(np.abs(out.gram - rho.gram)) <= 1e-14
+        assert_close_readouts(out, level_flight(rho, 0.0))
 
     @pytest.mark.parametrize("t_prime", [0.5, 1.0, 3.0])
     def test_gaussian_spreading_oracle(self, default_grid, t_prime):
@@ -56,7 +61,9 @@ class TestFreePropagate:
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert abs(out.purity() - rho.purity()) < 1e-10
 
-    def test_flight_is_the_spectral_kernel_bit_for_bit(self, default_grid):
+    def test_flight_is_the_spectral_kernel(self, default_grid):
+        # the level-by-level flight is the kernel applied to every factor column
+        # bit for bit, and the mode flight is that flight to rounding
         state = interact(
             build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, 0.0),
                           ALPHA, default_grid, 48),
@@ -69,11 +76,11 @@ class TestFreePropagate:
         embedded = full_grid_atom(rho).factors
         factors = np.fft.ifft(kernel[:, None, None] * np.fft.fft(embedded, axis=0), axis=0)
         full = AtomDensity(grid=default_grid, factors=factors)
-        assert np.array_equal(out.density, window_density(full))
-        assert np.array_equal(out.gram, full.gram)
-        edge = float(np.sum(window_density(full)[[0, -1], :])) * default_grid.dx
-        assert edge > 0.0
-        assert np.array_equal(out.boundary_weight(), edge)
+        oracle = level_flight(rho, flight)
+        assert np.array_equal(oracle.density, window_density(full).sum(axis=1))
+        assert np.array_equal(oracle.gram, full.gram)
+        assert_close_readouts(out, oracle)
+        assert oracle.boundary_weight() > 1e-6  # past the default boundary tolerance
 
     def test_grid_too_small_raises(self, default_grid):
         rho = trace_out_field(build_initial(
@@ -86,6 +93,49 @@ class TestFreePropagate:
                                                              dtype=complex))
         with pytest.raises(GridError):
             free_propagate(rho, 1.0)
+
+    def test_kick_past_the_nyquist_frequency_raises(self, default_grid):
+        # a packet carrying momentum at 0.8 of the grid's Nyquist frequency: sampled, it
+        # stays on the grid, so only its spectrum shows that the grid cannot resolve it
+        rho = trace_out_field(build_initial(
+            PreparationParams(1.0, 0.0, 0.0), 0.0, default_grid, 4))
+        boost = np.exp(0.8j * (math.pi / default_grid.dx) * default_grid.x[rho.start:rho.stop])
+        kicked = AtomDensity(grid=default_grid, factors=rho.factors * boost[:, None, None],
+                             start=rho.start)
+        free_propagate(rho, 0.0)
+        with pytest.raises(GridError, match="refine the grid"):
+            free_propagate(kicked, 0.0)
+        assert free_propagate(kicked, 0.0, boundary_tol=math.inf).trace() == pytest.approx(1.0)
+
+    def test_mode_cut_weight_is_reported_and_checked(self, default_grid):
+        # level b holds a profile orthogonal to level c's with 1e-20 of the trace:
+        # below fock.rank_cut, so that position mode does not fly
+        rho = trace_out_field(build_initial(
+            PreparationParams(1.0, 0.0, 0.0), 0.0, default_grid, 4))
+        packet = rho.factors[:, 1, 0]
+        odd = packet * rho.grid.x[rho.start:rho.stop]
+        odd -= np.vdot(packet, odd) / np.vdot(packet, packet) * packet
+        odd *= 1e-10 * np.linalg.norm(packet) / np.linalg.norm(odd)  # 1e-20 of the weight
+        factors = np.stack([odd, packet], axis=1)[:, :, None] / math.sqrt(1.0 + 1e-20)
+        faint = AtomDensity(grid=default_grid, factors=factors, start=rho.start)
+        out = free_propagate(faint, 1.0)
+        assert abs(out.discarded_weight - 1e-20) <= 1e-25
+        assert out.purity() == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(NumericError, match="flown trace"):
+            free_propagate(faint, 1.0, tail_tol=1e-21)
+
+    def test_slit_kick_trace_run_transforms_at_most_two_columns(self, monkeypatch):
+        # the traced slit-kick atom has 2-3 factor columns per level but 1-2 position modes
+        columns = {"fft": 0, "ifft": 0}
+        for name, transform in ((name, getattr(np.fft, name)) for name in columns):
+            def counted(a, *args, _name=name, _transform=transform, **kwargs):
+                columns[_name] += a.shape[1]
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        config = ExperimentConfig.from_dict({"stage": 2, "case": "VDC", "numeric": SMALL_NUMERIC})
+        assert run(config).diagnostics["schmidt_rank"] >= 2
+        assert 1 <= columns["fft"] <= 2
+        assert 1 <= columns["ifft"] <= 2
 
     def test_propagate_then_trace_equals_trace_then_propagate(self):
         # conjugating the traced state is the same as evolving every Fock

@@ -7,6 +7,7 @@ import resource
 import shutil
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,13 @@ class TestRun:
         payload = json.loads((tmp_path / "metrics.json").read_text())
         assert {"V0", "D0", "C0", "residual", "visibility", "config"} <= set(payload)
         echo = ExperimentConfig.from_dict(payload["config"])
-        assert echo == small_config()
+        assert echo == replace(small_config(), alpha=0.0)  # stage 1 runs the vacuum
+
+    def test_stage1_echoes_the_alpha_it_ran(self, tmp_path):
+        result = run(small_config(alpha=2.0))
+        assert result.config.alpha == 0.0
+        result.write(tmp_path)
+        assert json.loads((tmp_path / "metrics.json").read_text())["config"]["alpha"] == 0.0
 
     def test_quadrature_readout_records_outcome(self):
         cfg = small_config(stage=2, readout={"type": "quadrature", "theta": 0.0,
@@ -225,10 +232,10 @@ class TestRun:
 
 
 def test_local_kick_run_peaks_near_one_flight_array():
-    # the flight's full-grid (N, rank) buffer, which holds one level at a time,
-    # is the one large array of a run; readouts, purity and screen work on the
-    # window, in small blocks or on (N, 2) slabs, and the joint state is freed
-    # before the flight (1.32x one level's buffer measured)
+    # the flight's full-grid (N, rank) buffer, which holds one chunk of position
+    # modes at a time, is the one large array of a run; readouts, purity and
+    # screen work on the window, in small blocks or on (N,) columns, and the
+    # joint state is freed before the flight
     config = ExperimentConfig.from_dict({
         "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
         "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
@@ -450,6 +457,17 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_kick_past_the_nyquist_frequency_exit_code(self, tmp_path, capsys):
+        # theta_int = 30 kicks momentum past 3/4 of the default grid's Nyquist
+        # frequency; sampled, it folds back inside the grid, so no boundary
+        # weight shows it.  At the default theta_int = pi the same run exits 0.
+        data = {"stage": 3, "case": "C1", "epsilon": 3.0, "kick": "local", "t_prime": 0.3}
+        out = str(tmp_path / "x")
+        assert main(["run", "--config", self.write_cfg(tmp_path, data), "--out", out]) == 0
+        cfg = self.write_cfg(tmp_path, {**data, "theta_int": 30.0})
+        assert main(["run", "--config", cfg, "--out", out]) == 3
+        assert "refine the grid" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, tmp_path):
         # flight time far too long for the grid: aliasing guard trips
@@ -852,6 +870,7 @@ def assert_run_invariants(run_dir):
     # sum may be off by 5e-9 of the trace
     assert abs(float(np.sum(intensity)) * dx - trace) <= 1e-8
     assert diag["boundary_weight"] <= numeric["boundary_tolerance"]
+    assert 0.0 <= diag["flight_discarded_weight"] <= numeric["tail_tolerance"]
     ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
               - diag["truncation_loss"])
     assert abs(ledger) <= 1e-12, ledger

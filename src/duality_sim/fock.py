@@ -10,8 +10,8 @@ and vacuum quadrature variance 1/4.  With that scaling the quadrature
 wavefunction of |alpha> is a Gaussian of standard deviation 1/2 centred on
 the rotated amplitude, which is what makes homodyne outcomes +/-|alpha|
 read off the sign of a pi phase kick directly.  quadrature_projector gives
-the coefficients <m|chi_theta> of one outcome, on Python floats, quadrature_projectors those
-of a sweep of outcomes at one angle, on arrays; both run one oscillator-function recurrence.
+the coefficients <m|chi_theta> of one outcome, on Python floats, or of a sweep of outcomes at
+one angle, on arrays, from one oscillator-function recurrence.
 
 Husimi Q is evaluated at the rank of rho = sum_k lambda_k v_k v_k^dag, in
 Bargmann form: Q(beta) = e^{-|beta|^2}/pi sum_k lambda_k |sum_m v_km conj(beta)^m/sqrt(m!)|^2,
@@ -45,7 +45,6 @@ __all__ = [
     "QGrid",
     "coherent_state",
     "quadrature_projector",
-    "quadrature_projectors",
     "husimi_q",
     "rank_cut",
     "create_output",
@@ -191,61 +190,45 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
-def quadrature_projector(theta: float, chi: float, n_max: int) -> np.ndarray:
-    """Delta-normalised quadrature eigenvector coefficients <m|chi_theta>.
+def quadrature_projector(theta: float, chi, n_max: int) -> np.ndarray:
+    """Delta-normalised quadrature eigenvector coefficients <m|chi_theta>, (n_max,) for a 0-d chi.
 
     b_m = 2^{1/4} psi_m(sqrt(2) chi) e^{i m theta}.  With this scaling
     |<chi|psi>|^2 is a probability *density* in chi: summing the densities
-    of any normalised state over a chi grid integrates to one.  The sweep's recurrence and
-    guards in the same order, on Python floats (cheaper for one outcome): the sweep's row, bit
-    for bit.
-    """
-    chi = float(chi)
-    if not abs(chi) < 1e153:  # NaN fails too; u = sqrt(2) chi and u * u stay finite
-        raise NumericRangeError("quadrature outcome must be finite and below 1e153")
-    u = math.sqrt(2.0) * chi
-    # numpy's exp, as in the sweep: math.exp differs in the last bit on ~5% of outcomes
-    psi = [float(math.pi ** -0.25 * np.exp(-0.5 * u * u))]
-    psi.append(math.sqrt(2.0) * u * psi[0])
-    for a, b in _steps(n_max):
-        psi.append(a * u * psi[-1] - b * psi[-2])
-    del psi[n_max:]
-    _check_recurrence(all(map(math.isfinite, psi)), any(psi))
-    return (2.0 ** 0.25) * np.array(psi) * _phase_row(float(theta), n_max)
-
-
-def quadrature_projectors(theta: float, chis, n_max: int) -> np.ndarray:
-    """quadrature_projector for every chi of a sweep at one angle.
-
-    Returns shape (len(chis), n_max), row i being <m|chi_i, theta>, (n_max,) for a scalar.  The
-    orthonormal oscillator functions psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi))
-    of all outcomes come from one bounded three-term recurrence,
+    of any normalised state over a chi grid integrates to one.  A sweep of outcomes at one angle
+    gives shape (len(chi), n_max), row i being <m|chi_i, theta>.  The orthonormal oscillator
+    functions psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi)) come from one bounded
+    three-term recurrence,
 
         psi_{n+1} = sqrt(2/(n+1)) u psi_n - sqrt(n/(n+1)) psi_{n-1},
 
     which never overflows (|psi_n| < 1 for all n, u).  The guard is on the opposite failure:
     where exp(-u^2/2) underflows, an outcome's whole row is zero and cannot be normalised, so
-    NumericRangeError is raised.
+    NumericRangeError is raised.  One outcome runs the recurrence on Python floats, a sweep on
+    arrays: the same operations in the same order, so a row has the same bits either way, and
+    one outcome costs about a tenth of a one-element sweep.
     """
-    chis = np.asarray(chis, dtype=float)
-    if not np.all(abs(chis) < 1e153):  # NaN fails too; u = sqrt(2) chi and u * u stay finite
+    scalar = np.ndim(chi) == 0
+    chi = float(chi) if scalar else np.asarray(chi, dtype=float)
+    in_range = abs(chi) < 1e153  # NaN fails too; u = sqrt(2) chi and u * u stay finite
+    if not (in_range if scalar else in_range.all()):
         raise NumericRangeError("quadrature outcome must be finite and below 1e153")
-    u = math.sqrt(2.0) * chis
-    psi = [math.pi ** -0.25 * np.exp(-0.5 * u * u)]
+    u = math.sqrt(2.0) * chi
+    # numpy's exp on both paths: math.exp differs in the last bit on ~5% of outcomes
+    head = np.exp(-0.5 * u * u)
+    psi = [math.pi ** -0.25 * (float(head) if scalar else head)]
     psi.append(math.sqrt(2.0) * u * psi[0])
     for a, b in _steps(n_max):
         psi.append(a * u * psi[-1] - b * psi[-2])
-    psi = np.array(psi[:n_max])
-    _check_recurrence(np.isfinite(psi).all(), np.abs(psi).max(axis=0).all())
-    return (2.0 ** 0.25) * psi.T * _phase_row(float(theta), n_max)
-
-
-def _check_recurrence(finite: bool, no_zero_row: bool) -> None:
+    psi = psi[:n_max] if scalar else np.array(psi[:n_max])
+    finite, no_zero_row = ((all(map(math.isfinite, psi)), any(psi)) if scalar else
+                           (np.isfinite(psi).all(), np.abs(psi).max(axis=0).all()))
     if not finite:
         raise NumericRangeError("oscillator-function recurrence left the float range")
     if not no_zero_row:
         raise NumericRangeError("quadrature eigenvalue too large for the truncated basis "
                                 "(oscillator functions underflow)")
+    return (2.0 ** 0.25) * np.asarray(psi).T * _phase_row(float(theta), n_max)
 
 
 @functools.lru_cache(maxsize=8)

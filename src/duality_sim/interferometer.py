@@ -38,7 +38,7 @@ import numpy as np
 from . import evolution
 from .errors import ConfigError, ImpossibleOutcomeError, NumericError, NumericRangeError, TruncationError
 from .evolution import InteractionParams
-from .fock import coherent_state, quadrature_projector, quadrature_projectors, rank_cut
+from .fock import coherent_state, quadrature_projector, rank_cut
 
 LEVEL_INDEX = {"b": 0, "c": 1}
 X_TOP = 0.0
@@ -320,17 +320,14 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
 
 
 def _gram(levels) -> np.ndarray:
-    """gram[m, n] = sum_l,g conj(level_l[g, m]) level_l[g, n] over (rows, columns) levels.
+    """gram[m, n] = sum_l,g conj(level_l[g, m]) level_l[g, n] over (rows, columns) arrays.
 
     A level may be in either memory order: BLAS reads each block of 1024 rows
-    in place, and only that block is conjugated.  A level's block products are
-    all taken before the next level is drawn, so an iterator may yield every
-    level in one buffer.  The products are added block by block, each block
-    level by level.
+    in place, and only that block is conjugated.  The block products are
+    added level by level, each level block by block.
     """
-    products = [[b.conj().T @ b for b in (level[i:i + 1024] for i in range(0, len(level), 1024))]
-                for level in levels]
-    return sum(product for block in zip(*products) for product in block)
+    return sum(level[i:i + 1024].conj().T @ level[i:i + 1024]
+               for level in levels for i in range(0, len(level), 1024))
 
 
 def _eigh_above_rounding(gram: np.ndarray, tail_tol: float, what: str):
@@ -387,7 +384,7 @@ def quadrature_pdf(state: JointState, theta: float, chi_samples) -> np.ndarray:
 
     Below ~eps times the peak density the value is rounding, clipped at 0.
     """
-    coeffs = quadrature_projectors(theta, chi_samples, state.n_max)
+    coeffs = quadrature_projector(theta, chi_samples, state.n_max)
     dens = np.sum((coeffs @ state.field_gram) * coeffs.conj(), axis=1).real
     return np.maximum(dens, 0.0)
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
-from .errors import ConfigError, UndefinedVisibilityError
+from .errors import ConfigError, NumericError, UndefinedVisibilityError
 from .evolution import InteractionParams
 from .fock import QGrid, create_output, husimi_q, quadrature_projector, write_columns
 from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
@@ -292,8 +292,16 @@ def most_probable_chi(state: JointState, theta: float, scan=None) -> float:
     refines it; ties resolve towards the smaller chi, deterministically.
     Both read the densities b_chi G b_chi^dag off the field Gram G.  scan,
     if given, is quadrature_pdf at theta on CHI_AXIS, already evaluated.
+    A scan whose density at an end of the axis is above rounding and still
+    rises towards that end raises NumericError: the peak may lie beyond it.
     """
-    best = int(np.argmax(quadrature_pdf(state, theta, CHI_AXIS) if scan is None else scan))
+    scan = quadrature_pdf(state, theta, CHI_AXIS) if scan is None else scan
+    floor = CHI_AXIS.size * np.finfo(float).eps * float(np.max(scan))
+    for end, inner in ((0, 1), (-1, -2)):
+        if scan[end] > max(floor, scan[inner]):
+            raise NumericError(f"the outcome density at theta={theta:g} still rises at the end "
+                               f"chi={CHI_AXIS[end]:g} of the scanned axis")
+    best = int(np.argmax(scan))
     gram = state.field_gram
 
     def density(chi):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from duality_sim.errors import UndefinedVisibilityError
-from duality_sim.fock import coherent_state, quadrature_projector, quadrature_projectors
+from duality_sim.fock import coherent_state, quadrature_projector
 from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, X_BOTTOM, X_TOP, AtomDensity,
                                         JointState, _gram, _slit_profile)
 from duality_sim.propagation import DISPERSION_RATE, WAVELENGTH, ScreenDensity, fringe_visibility
@@ -142,20 +142,18 @@ def full_grid_atom(rho):
 
 
 def level_flight(rho, t_prime: float):
-    """The flight level by level: level b, then level c, at full rank through one buffer.
+    """The flight level by level: level b, then level c, at full rank, each in its own buffer.
 
-    Each level flies all rank factor columns; its density and Gram block products are read
-    before the next level overwrites the buffer.  Returns the ScreenDensity, its density
-    summed over the two levels.
+    Each level flies all rank factor columns.  Returns the ScreenDensity, its density summed
+    over the two levels.
     """
     grid = rho.grid
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
-    flight = np.empty((grid.n_points, rho.rank), dtype=complex, order="F")
     density = np.empty((grid.n_points, 2), order="F")
 
     def fly(level):
-        flight[:rho.start] = flight[rho.stop:] = 0.0
+        flight = np.zeros((grid.n_points, rho.rank), dtype=complex, order="F")
         flight[rho.start:rho.stop] = rho.factors[:, level]
         np.fft.fft(flight, axis=0, out=flight)
         # kernel first: with the operands swapped the complex products round differently
@@ -164,7 +162,7 @@ def level_flight(rho, t_prime: float):
         density[:, level] = sum(np.abs(flight[:, j]) ** 2 for j in range(rho.rank))
         return flight
 
-    gram = _gram(map(fly, range(2))) * grid.dx
+    gram = _gram([fly(0), fly(1)]) * grid.dx
     return ScreenDensity(grid=grid, density=density[:, 0] + density[:, 1], gram=gram)
 
 
@@ -214,7 +212,7 @@ def uncached_field_gram(state) -> np.ndarray:
 
 def joint_state_pdf(state, theta: float, chis) -> np.ndarray:
     """Outcome densities contracted from the joint state: dx sum_g |<chi|psi_g>|^2."""
-    coeffs = quadrature_projectors(theta, chis, state.n_max)
+    coeffs = quadrature_projector(theta, chis, state.n_max)
     cond = state.amps.reshape(-1, state.n_max) @ coeffs.conj().T
     return np.sum(np.abs(cond) ** 2, axis=0) * state.grid.dx
 

@@ -12,8 +12,7 @@ from scipy.stats import poisson
 from analytic import dense_husimi, quadrature_operator
 from duality_sim import fock
 from duality_sim.errors import NumericRangeError
-from duality_sim.fock import (QGrid, coherent_state, husimi_q,
-                              quadrature_projector, quadrature_projectors, write_columns)
+from duality_sim.fock import QGrid, coherent_state, husimi_q, quadrature_projector, write_columns
 from duality_sim.runner import QGRID_AXIS
 
 ALPHA = math.sqrt(8.0)
@@ -127,24 +126,23 @@ class TestQuadratureEigenstate:
     @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7, 7.5])
     def test_sweep_rows_equal_single_projectors(self, theta):
         chis = np.linspace(-7.0, 7.0, 57)
-        rows = quadrature_projectors(theta, chis, 32)
+        rows = quadrature_projector(theta, chis, 32)
         assert rows.shape == (57, 32)
         for chi, row in zip(chis, rows):
             assert np.array_equal(row, quadrature_projector(theta, chi, 32))
 
-    # one outcome runs the sweep's recurrence on a scalar; beyond |chi| ~ 20
-    # the oscillator functions underflow and both forms must refuse
+    # a 0-d outcome runs the recurrence on Python floats, a one-element sweep on
+    # arrays; beyond |chi| ~ 20 the oscillator functions underflow and both must refuse
     @settings(max_examples=300, deadline=None)
     @given(theta=st.floats(-10.0, 10.0), n_max=st.integers(1, 96),
            chi=st.one_of(st.floats(-8.0, 8.0), st.floats(-40.0, 40.0), st.floats()),
-           as_numpy=st.booleans())
-    @example(theta=7.5, n_max=32, chi=50.0, as_numpy=True)
-    @example(theta=-1.0, n_max=1, chi=0.0, as_numpy=False)
-    def test_single_projector_is_the_sweep_row_bit_for_bit(self, theta, n_max, chi,
-                                                           as_numpy):
-        chi = np.float64(chi) if as_numpy else chi
+           zero_d=st.sampled_from([float, np.float64, np.array]))
+    @example(theta=7.5, n_max=32, chi=50.0, zero_d=np.float64)
+    @example(theta=-1.0, n_max=1, chi=0.0, zero_d=float)
+    def test_single_projector_is_the_sweep_row_bit_for_bit(self, theta, n_max, chi, zero_d):
+        chi = zero_d(chi)
         try:
-            row = quadrature_projectors(theta, [chi], n_max)[0]
+            row = quadrature_projector(theta, [chi], n_max)[0]
         except NumericRangeError:
             with pytest.raises(NumericRangeError):
                 quadrature_projector(theta, chi, n_max)
@@ -155,7 +153,7 @@ class TestQuadratureEigenstate:
 
     def test_sweep_underflow_guard_per_outcome(self):
         with pytest.raises(NumericRangeError):
-            quadrature_projectors(0.0, [0.0, 50.0], 32)
+            quadrature_projector(0.0, [0.0, 50.0], 32)
 
 
 class TestHusimi:

@@ -369,6 +369,28 @@ def test_most_probable_chi_of_the_reference_configs(theta):
     assert np.float64(chi).view(np.int64) == pinned.view(np.int64)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 9.0), st.floats(0.0, math.pi))
+@example(9.0, 0.0)
+@example(6.9, 0.0)
+@example(7.5, math.pi)
+def test_most_probable_chi_of_a_coherent_field(alpha, theta):
+    # the dispersive kick sends the top packet's field |alpha> to |-alpha>, whose
+    # outcome density is a Gaussian of width 1/2 at -alpha cos(theta); past the
+    # scanned axis [-7, 7] the search cannot see it fall off and must refuse
+    config = ExperimentConfig.from_dict({
+        "stage": 2, "case": "D1", "alpha": alpha,
+        "numeric": {"n_max": int((alpha + 4.0) ** 2), "grid": {"n_points": 1024}}})
+    state = build_initial(config.case, config.alpha, config.numeric.grid, config.numeric.n_max)
+    state = interact(state, config.interaction_params())
+    peak = -alpha * math.cos(theta)
+    if abs(peak) <= 6.9:
+        assert most_probable_chi(state, theta) == pytest.approx(peak, abs=1e-6)
+    elif abs(peak) >= 7.05:
+        with pytest.raises(NumericError, match="still rises"):
+            most_probable_chi(state, theta)
+
+
 @settings(max_examples=20, deadline=None)
 @given(kicked_states(uncut=True))
 def test_the_cut_drops_no_weight(case):

@@ -325,7 +325,7 @@ def blas_calls(monkeypatch, blas_threads):
     record(interferometer, "_gram")
     record(propagation, "_gram")  # the flight's own binding of the Gram routine
     record(JointState, "atom_columns")
-    record(interferometer, "quadrature_projectors")
+    record(interferometer, "quadrature_projector")  # the scan and the conditioned outcome
     record(runner, "quadrature_projector")  # each golden-section probe of most_probable_chi
     return calls
 
@@ -339,7 +339,7 @@ class TestBlasThreads:
         (lambda: run(small_config(stage=2, emit_qgrid=True, emit_quadrature_pdf=True,
                                   readout={"type": "quadrature", "theta": 0.0,
                                            "chi": "most-probable"})),
-         {"_gram", "eigh", "atom_columns", "quadrature_projectors", "quadrature_projector"}),
+         {"_gram", "eigh", "atom_columns", "quadrature_projector"}),
         (lambda: epsilon_sweep(small_config(stage=3), [0.0, 3.0], "b"),
          {"_gram", "eigh"}),
     ], ids=["trace", "x-most-probable", "sweep"])
@@ -468,6 +468,17 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, {**data, "theta_int": 30.0})
         assert main(["run", "--config", cfg, "--out", out]) == 3
         assert "refine the grid" in capsys.readouterr().err
+
+    def test_most_probable_peak_beyond_the_scanned_axis_exit_code(self, tmp_path, capsys):
+        # the field leaves the cavity as |-9>: its outcome density peaks at chi = -9,
+        # outside the scanned [-7, 7], so no most-probable chi is reported
+        cfg = self.write_cfg(tmp_path, {
+            "stage": 2, "case": "D1", "alpha": 9.0, "numeric": {"n_max": 200},
+            "readout": {"type": "quadrature", "theta": 0.0, "chi": "most-probable"}})
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "still rises" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_error_exit_code(self, tmp_path):
         # flight time far too long for the grid: aliasing guard trips

@@ -270,51 +270,42 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
     leak rather than tracked as a state (dispersive mode leaks nothing).
     The map is diagonal in position, so the output covers the input's window.
 
-    The multipliers reach the rows in blocks (rows, at): rows take row(s) at
-    of the multipliers, by broadcasting.  "slit" evaluates them at the two
-    slit centres, each for the rows on its side of MIDPOINT, which reproduces
-    per-path evolution; "local" evaluates them at every row (at = rows).
+    The kick only chooses the block plan, (rows, positions) pairs: one loop
+    evaluates each block's multipliers at its positions and broadcasts them
+    over its rows.  "slit" evaluates them at the slit centre of each side of
+    MIDPOINT, which reproduces per-path evolution; "local" at each row's x.
     """
     if kick == "slit":
         split = int(np.searchsorted(state.x, MIDPOINT))
-        xs, blocks = np.array([X_TOP, X_BOTTOM]), [(slice(0, split), 0), (slice(split, None), 1)]
-    elif kick == "local":  # 256 rows a block keeps the |c> products' temporaries small
-        xs, blocks = state.x, [(slice(i, i + 256),) * 2 for i in range(0, len(state.x), 256)]
+        plan = [(slice(0, split), [X_TOP]), (slice(split, None), [X_BOTTOM])]
+    elif kick == "local":  # 256 rows a block keeps the multipliers and temporaries small
+        x = state.x
+        plan = [(slice(i, i + 256), x[i:i + 256]) for i in range(0, len(x), 256)]
     else:
         raise ConfigError(f"unknown kick policy {kick!r}")
-    levels = evolution.branch_multipliers(xs, params, state.n_max, mode)
-    in_b = state.amps[:, LEVEL_INDEX["b"], :]
-    in_c = state.amps[:, LEVEL_INDEX["c"], :]
     out = np.zeros_like(state.amps)
-    out_b = out[:, LEVEL_INDEX["b"], :]
-    out_c = out[:, LEVEL_INDEX["c"], :]
+    in_b, in_c = (state.amps[:, LEVEL_INDEX[level], :] for level in "bc")
+    out_b, out_c = (out[:, LEVEL_INDEX[level], :] for level in "bc")
     # per-row products, each summed once over all rows
     fallen = np.empty(len(in_b), dtype=complex)
     # excited[:, m] is the |a, m> amplitude, fed by |b, m> and |c, m+1> coherently
     excited = None if mode == "dispersive" else np.empty(in_b.shape, dtype=complex)
-
-    # |b>|m> -> |c>|m+1>; the top row falls off the truncation
-    stay, cross, to_a = levels.pop("b")
-    for rows, at in blocks:
-        np.multiply(stay[at], in_b[rows], out=out_b[rows])
-        np.multiply(cross[at, :-1], in_b[rows, :-1], out=out_c[rows, 1:])
-        np.multiply(cross[at, -1], in_b[rows, -1], out=fallen[rows])
+    for rows, xs in plan:
+        levels = evolution.branch_multipliers(xs, params, state.n_max, mode)
+        (stay_b, cross_b, to_a_b), (stay_c, cross_c, to_a_c) = levels["b"], levels["c"]
+        # |b>|m> -> |c>|m+1>, whose top row falls off the truncation; |c>|m> -> |b>|m-1>
+        np.multiply(stay_b, in_b[rows], out=out_b[rows])
+        np.multiply(cross_b[:, :-1], in_b[rows, :-1], out=out_c[rows, 1:])
+        np.multiply(cross_b[:, -1], in_b[rows, -1], out=fallen[rows])
+        out_c[rows] += stay_c * in_c[rows]
+        out_b[rows, :-1] += cross_c[:, 1:] * in_c[rows, 1:]
         if excited is not None:
-            np.multiply(to_a[at], in_b[rows], out=excited[rows])
+            np.multiply(to_a_b, in_b[rows], out=excited[rows])
+            excited[rows, :-1] += to_a_c[:, 1:] * in_c[rows, 1:]
     truncation_loss = float(np.sum(np.abs(fallen) ** 2)) * state.grid.dx
     if not truncation_loss <= tail_tol:  # NaN fails too
-        raise TruncationError(
-            f"interaction pushed {truncation_loss:.3e} weight past the Fock truncation "
-            f"(tolerance {tail_tol:.1e}); increase n_max"
-        )
-
-    # |c>|m> -> |b>|m-1>; popped, so the |b> multipliers are freed first
-    stay, cross, to_a = levels.pop("c")
-    for rows, at in blocks:
-        out_c[rows] += stay[at] * in_c[rows]
-        out_b[rows, :-1] += cross[at, 1:] * in_c[rows, 1:]
-        if excited is not None:
-            excited[rows, :-1] += to_a[at, 1:] * in_c[rows, 1:]
+        raise TruncationError(f"interaction pushed {truncation_loss:.3e} weight past the Fock "
+                              f"truncation (tolerance {tail_tol:.1e}); increase n_max")
     leak = 0.0 if excited is None else float(np.sum(np.abs(excited) ** 2)) * state.grid.dx
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 

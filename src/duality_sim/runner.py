@@ -292,22 +292,23 @@ def most_probable_chi(state: JointState, theta: float, scan=None) -> float:
     refines it; ties resolve towards the smaller chi, deterministically.
     Both read the densities b_chi G b_chi^dag off the field Gram G.  scan,
     if given, is quadrature_pdf at theta on CHI_AXIS, already evaluated.
-    A scan whose density at an end of the axis is above rounding and still
-    rises towards that end raises NumericError: the peak may lie beyond it.
+    An end of the axis whose density is above rounding, its inner neighbour's
+    and the density 1e-4 inward raises NumericError: the peak may lie beyond.
     """
-    scan = quadrature_pdf(state, theta, CHI_AXIS) if scan is None else scan
-    floor = CHI_AXIS.size * np.finfo(float).eps * float(np.max(scan))
-    for end, inner in ((0, 1), (-1, -2)):
-        if scan[end] > max(floor, scan[inner]):
-            raise NumericError(f"the outcome density at theta={theta:g} still rises at the end "
-                               f"chi={CHI_AXIS[end]:g} of the scanned axis")
-    best = int(np.argmax(scan))
     gram = state.field_gram
 
     def density(chi):
         row = quadrature_projector(theta, chi, state.n_max)
         return float((row @ gram @ row.conj()).real)
 
+    scan = quadrature_pdf(state, theta, CHI_AXIS) if scan is None else scan
+    floor = CHI_AXIS.size * np.finfo(float).eps * float(np.max(scan))
+    for end, inner, inward in ((0, 1, 1e-4), (-1, -2, -1e-4)):
+        chi = CHI_AXIS[end]
+        if scan[end] > max(floor, scan[inner]) and density(chi) > density(chi + inward):
+            raise NumericError(f"the outcome density at theta={theta:g} still rises at the end "
+                               f"chi={chi:g} of the scanned axis")
+    best = int(np.argmax(scan))
     a, b = CHI_AXIS[max(best - 1, 0)], CHI_AXIS[min(best + 1, CHI_AXIS.size - 1)]
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - ratio * (b - a), a + ratio * (b - a)

@@ -208,7 +208,7 @@ def quadrature_projector(theta: float, chi, n_max: int) -> np.ndarray:
     arrays: the same operations in the same order, so a row has the same bits either way, and
     one outcome costs about a tenth of a one-element sweep.
     """
-    scalar = np.ndim(chi) == 0
+    scalar = isinstance(chi, float) or np.ndim(chi) == 0  # np.float64 is a float
     chi = float(chi) if scalar else np.asarray(chi, dtype=float)
     in_range = abs(chi) < 1e153  # NaN fails too; u = sqrt(2) chi and u * u stay finite
     if not (in_range if scalar else in_range.all()):

@@ -388,6 +388,7 @@ def run(config: ExperimentConfig) -> RunResult:
     diagnostics["flight_discarded_weight"] = rho_screen.discarded_weight
     diagnostics["trace"] = rho_screen.trace()
     diagnostics["boundary_weight"] = rho_screen.boundary_weight()
+    diagnostics["nyquist_band_weight"] = rho_screen.nyquist_band_weight
     diagnostics["purity_before_flight"] = purity_before
     diagnostics["purity_after_flight"] = rho_screen.purity()
 

@@ -102,10 +102,18 @@ class TestFreePropagate:
         boost = np.exp(0.8j * (math.pi / default_grid.dx) * default_grid.x[rho.start:rho.stop])
         kicked = AtomDensity(grid=default_grid, factors=rho.factors * boost[:, None, None],
                              start=rho.start)
-        free_propagate(rho, 0.0)
+        assert free_propagate(rho, 0.0).nyquist_band_weight <= 1e-20
         with pytest.raises(GridError, match="refine the grid"):
             free_propagate(kicked, 0.0)
-        assert free_propagate(kicked, 0.0, boundary_tol=math.inf).trace() == pytest.approx(1.0)
+        flown = free_propagate(kicked, 0.0, boundary_tol=math.inf)
+        assert flown.trace() == pytest.approx(1.0)
+        # the reported band weight is the kicked state's spectrum summed over |k| above 3/4
+        # of the Nyquist frequency
+        n = default_grid.n_points
+        spectrum = np.fft.fft(full_grid_atom(kicked).factors, axis=0)
+        band = float(np.sum(np.abs(spectrum[3 * n // 8 + 1:n - 3 * n // 8]) ** 2))
+        band *= default_grid.dx / n
+        assert 0.5 < flown.nyquist_band_weight == pytest.approx(band, rel=1e-12)
 
     def test_mode_cut_weight_is_reported_and_checked(self, default_grid):
         # level b holds a profile orthogonal to level c's with 1e-20 of the trace:

@@ -151,12 +151,14 @@ WINDOWS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(window=WINDOWS, rank=st.integers(1, 6), order=st.sampled_from("CF"),
+@given(window=WINDOWS, rank=st.integers(1, 12), order=st.sampled_from("CF"),
        t_prime=st.floats(0.0, 3.0), shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(window=(0, N_ROWS), rank=12, order="F", t_prime=1.0, shared=False, seed=0)
 def test_mode_flight_matches_the_level_by_level_flight(window, rank, order, t_prime, shared,
                                                        seed):
-    # random levels give up to 2 rank position modes, which fly in two chunks of at
-    # most rank columns; shared levels (c a multiple of b) give at most rank, one chunk
+    # the modes fly in chunks of min(8, rank) columns: random levels give up to 2 rank
+    # modes, two chunks up to rank 8 and three of 8 columns beyond it (rank 12 gives 24);
+    # shared levels (c a multiple of b) give at most rank, one chunk up to rank 8, then two
     start, stop = window
     rng = np.random.default_rng(seed)
     shape = (stop - start, 2, rank)

@@ -22,7 +22,7 @@ from duality_sim.cli import main
 from duality_sim.duality import SPHERE_CASE_NAMES
 from duality_sim.errors import ConfigError, GridError
 from duality_sim.fock import coherent_state, write_columns
-from duality_sim.interferometer import JointState, build_initial, interact
+from duality_sim.interferometer import JointState, build_initial, interact, trace_out_field
 from duality_sim.propagation import WAVELENGTH
 from duality_sim.runner import (ExperimentConfig, epsilon_sweep, most_probable_chi, run,
                                 sphere_suite)
@@ -118,6 +118,8 @@ class TestRun:
         payload = json.loads((tmp_path / "diagnostics.json").read_text())
         assert payload["support_rows"] == [start, stop]
         assert payload["boundary_weight"] == result.diagnostics["boundary_weight"]
+        assert 0.0 <= result.diagnostics["nyquist_band_weight"] <= 1e-6
+        assert payload["nyquist_band_weight"] == result.diagnostics["nyquist_band_weight"]
         assert payload["fock_columns"] == SMALL_NUMERIC["n_max"]
         assert payload["initial_window_tail"] == result.diagnostics["initial_window_tail"]
         assert run(small_config()).diagnostics["fock_columns"] == 2  # the vacuum, plus one
@@ -231,14 +233,18 @@ class TestRun:
         assert abs(a) < 1e-6
 
 
-def test_local_kick_run_peaks_near_one_flight_array():
-    # the flight's full-grid (N, rank) buffer, which holds one chunk of position
-    # modes at a time, is the one large array of a run; readouts, purity and
-    # screen work on the window, in small blocks or on (N,) columns, and the
-    # joint state is freed before the flight
-    config = ExperimentConfig.from_dict({
-        "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
-        "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}})
+LOCAL_KICK_16384 = {
+    "stage": 3, "case": "VDC", "epsilon": 2.5, "t_prime": 2.0, "kick": "local",
+    "numeric": {"grid": {"x_min": -40.0, "x_max": 42.0, "n_points": 16384}}}
+
+
+def test_local_kick_run_peaks_below_one_full_grid_level_buffer():
+    # no array of the full grid at the state's rank exists: the flight holds 8 of its
+    # ~36 position modes at a time, readouts, purity and screen work on the window, in
+    # small blocks or on (N,) columns, and the joint state is freed before the flight;
+    # the peak is interact's, its output state and 256-row blocks (5.6 MB here, where a
+    # flight through one (N, rank) buffer peaked at 9.1 MB)
+    config = ExperimentConfig.from_dict(LOCAL_KICK_16384)
     tracemalloc.start()
     try:
         result = run(config)
@@ -246,7 +252,22 @@ def test_local_kick_run_peaks_near_one_flight_array():
     finally:
         tracemalloc.stop()
     level_buffer = 16384 * result.diagnostics["schmidt_rank"] * np.dtype(complex).itemsize
-    assert peak <= 1.5 * level_buffer
+    assert peak <= level_buffer
+
+
+def test_local_kick_flight_holds_eight_mode_columns():
+    # the flight's peak above its inputs is its (N, 8) buffer plus (N,) columns: 3.6 MB
+    # at rank 26, where one (N, rank) buffer took it to 8.4 MB
+    config = ExperimentConfig.from_dict(LOCAL_KICK_16384)
+    rho = trace_out_field(runner._cavity_exit(config))
+    assert rho.rank >= 20
+    tracemalloc.start()
+    try:
+        propagation.free_propagate(rho, config.t_prime)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16384 * 8 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("t_prime", [2.0, 2.5, 3.0])
@@ -864,7 +885,8 @@ def assert_documented_exit(command, data):
 
 def assert_run_invariants(run_dir):
     """A written run has unit trace, a flight that keeps its purity, a non-negative pattern
-    that integrates to the trace, a boundary weight within tolerance and a closed weight ledger.
+    that integrates to the trace, boundary and Nyquist-band weights within tolerance and a
+    closed weight ledger.
     """
     diag = json.loads((run_dir / "diagnostics.json").read_text())
     numeric = json.loads((run_dir / "metrics.json").read_text())["config"]["numeric"]
@@ -881,6 +903,7 @@ def assert_run_invariants(run_dir):
     # sum may be off by 5e-9 of the trace
     assert abs(float(np.sum(intensity)) * dx - trace) <= 1e-8
     assert diag["boundary_weight"] <= numeric["boundary_tolerance"]
+    assert 0.0 <= diag["nyquist_band_weight"] <= numeric["boundary_tolerance"]
     assert 0.0 <= diag["flight_discarded_weight"] <= numeric["tail_tolerance"]
     ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
               - diag["truncation_loss"])

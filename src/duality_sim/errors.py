@@ -28,11 +28,3 @@ class ImpossibleOutcomeError(NumericError):
 class NumericRangeError(NumericError):
     """Intermediate values left the representable floating-point range."""
 
-
-class UndefinedVisibilityError(SimulationError):
-    """Pattern has no interior fringe extrema inside the analysis window.
-
-    Deliberately distinct from a measured visibility of zero: zero means
-    fringes were found with vanishing contrast, this means there were no
-    fringes to measure.
-    """

@@ -156,11 +156,8 @@ class JointState:
         return gram
 
     def atom_columns(self, columns: np.ndarray) -> np.ndarray:
-        """Window factors sum_m amps[g, l, m] columns[m, k], shape (rows, 2, k)."""
-        # (C^T flat^T)^T rather than flat @ C: the short-and-wide product keeps
-        # no large BLAS work buffers alive
-        flat = self.amps.reshape(-1, self.n_max)
-        return (columns.T @ flat.T).T.reshape(self.amps.shape[0], 2, -1)
+        """Window factors sum_m amps[g, l, m] columns[m, k], shape (rows, 2, k), row-major."""
+        return (self.amps.reshape(-1, self.n_max) @ columns).reshape(self.amps.shape[0], 2, -1)
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,8 @@ class AtomDensity:
 
     factors (rows, 2 levels, rank) cover the grid rows [start, stop), as in
     JointState; the grid measure dx is not folded in, so trace(rho) = sum
-    |factors|^2 * dx.  gram is a pass made once: factors must not change
+    |factors|^2 * dx.  gram, the level-major (2 rank, 2 rank) Gram matrix of
+    the factor columns times dx, is a pass made once: factors must not change
     after it.  Constructors normalise to unit trace.  rho is Hermitian and
     positive semidefinite by construction.  discarded_weight is the share of
     the trace that a rank cut dropped before that normalisation.
@@ -190,11 +188,11 @@ class AtomDensity:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        return _gram(self.factors.transpose(1, 0, 2)) * self.grid.dx
+        # a view of row-major factors, as atom_columns returns them
+        return _gram([self.factors.reshape(len(self.factors), -1)]) * self.grid.dx
 
     def purity(self) -> float:
-        """trace(rho^2) via the rank x rank Gram matrix."""
-        return float(np.sum(np.abs(self.gram) ** 2))
+        return _purity(self.gram)
 
 
 def _slit_profile(grid: GridSpec, centre: float) -> np.ndarray:
@@ -319,6 +317,13 @@ def _gram(levels) -> np.ndarray:
     """
     return sum(level[i:i + 1024].conj().T @ level[i:i + 1024]
                for level in levels for i in range(0, len(level), 1024))
+
+
+def _purity(gram: np.ndarray) -> float:
+    """trace(rho^2) from a level-major (2 rank, 2 rank) Gram matrix: the squared Frobenius
+    norm of its level trace, the (rank, rank) Gram of rho = L L^dag."""
+    rank = len(gram) // 2
+    return float(np.sum(np.abs(gram[:rank, :rank] + gram[rank:, rank:]) ** 2))
 
 
 def _eigh_above_rounding(gram: np.ndarray, tail_tol: float, what: str):

@@ -13,8 +13,9 @@ and two-slit oracles in the test suite are parameterised by the same
 constant, which pins the kernel against closed forms.  Its value makes the
 default grid (x in [-12, 14], 4096 points) hold the default flight time
 t_prime = 3 with boundary weight far below the aliasing tolerance.  The modes fly at most
-FLIGHT_COLUMNS at a time, so at rank 26 the flight's traced peak above its input is 3.7 MB
-on 16384 points and 18.1 MB on 65536, where an (n_points, rank) buffer took 8.6 and 38.3.
+FLIGHT_COLUMNS at a time straight from the atom's row-major factors, so at rank 26 the
+flight's traced peak above its input is ~3.3 MB on 16384 points and ~12.3 MB on 65536,
+where an (n_points, rank) buffer took 8.6 and 38.3 and a copy of the factors 3.7 and 18.1.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NumericRangeError, UndefinedVisibilityError
+from .errors import GridError, NumericRangeError
 from .evolution import PHASE_LIMIT
 from .fock import write_columns
-from .interferometer import AtomDensity, GridSpec, _eigh_above_rounding, _gram
+from .interferometer import AtomDensity, GridSpec, _eigh_above_rounding, _gram, _purity
 
 # kernel phase per unit flight time at unit spatial frequency
 DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
@@ -35,15 +36,15 @@ DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
 # screen axis is expressed in classical wavelengths
 WAVELENGTH = 2.0 * math.pi
 
-# analysis window for fringe contrast, in classical wavelengths
-DEFAULT_VISIBILITY_WINDOW = 0.25
+# width of the fringe-contrast window around the intensity centroid, in classical wavelengths
+VISIBILITY_WINDOW = 0.25
 
-FLIGHT_COLUMNS = 8  # modes flown per chunk, at most rank; narrower chunks cost time
+FLIGHT_COLUMNS = 8  # modes flown per chunk; narrower chunks cost time
 
 __all__ = [
     "DISPERSION_RATE",
     "WAVELENGTH",
-    "DEFAULT_VISIBILITY_WINDOW",
+    "VISIBILITY_WINDOW",
     "ScreenPattern",
     "ScreenDensity",
     "free_propagate",
@@ -65,8 +66,8 @@ class ScreenPattern:
 
 @dataclass(frozen=True)
 class ScreenDensity:
-    """The flown (n_points,) level-summed density, Gram matrix times dx, mode-cut share and
-    momentum weight above 3/4 of the Nyquist frequency."""
+    """The flown (n_points,) level-summed density, level-major Gram matrix times dx (as
+    AtomDensity.gram), mode-cut share and momentum weight above 3/4 of the Nyquist frequency."""
 
     grid: GridSpec
     density: np.ndarray
@@ -82,8 +83,7 @@ class ScreenDensity:
         return float(np.sum(self.density[[0, -1]])) * self.grid.dx
 
     def purity(self) -> float:
-        """trace(rho^2) via the rank x rank Gram matrix."""
-        return float(np.sum(np.abs(self.gram) ** 2))
+        return _purity(self.gram)
 
 
 def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
@@ -91,15 +91,16 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
     """Evolve the atomic density operator through a field-free flight of duration t_prime.
 
     The screen records position, not level, so the flight carries rho's position
-    modes: the eigenvectors of the Gram matrix of its 2 rank factor columns above
-    rounding (fock.rank_cut); the share of the trace they drop raises
-    NumericError above tail_tol.  The modes fly in chunks through one column-major
-    (n_points, min(FLIGHT_COLUMNS, rank)) buffer, each FFT along a contiguous column;
-    each chunk adds its density and maps its Gram back through the modes' level rows
-    (modes are orthogonal, so blocks between chunks are rounding).  GridError guards
-    against a state that reaches the grid's edge, or whose weight above 3/4 of its
-    Nyquist frequency (nyquist_band_weight, summed before the kernel) exceeds
-    boundary_tol.  A phase DISPERSION_RATE t_prime k_max^2 beyond
+    modes: the eigenvectors of rho.gram above rounding (fock.rank_cut); the share of
+    the trace they drop raises NumericError above tail_tol.  The modes fly in chunks
+    through one column-major (n_points, min(FLIGHT_COLUMNS, modes)) buffer, each FFT
+    along a contiguous column, filled from a (rows, 2 rank) view of rho.factors; each
+    chunk adds its density and its flown Gram, mapped back as chunk @ flown @ chunk^dag
+    (modes are orthogonal, so blocks between chunks are rounding).  At rank 26 on 65536
+    points the peak above the input is ~12.3 MB (18.1 MB with a copy of the factors).
+    GridError guards against a state that reaches the grid's edge, or whose weight
+    above 3/4 of its Nyquist frequency (nyquist_band_weight, summed before the kernel)
+    exceeds boundary_tol.  A phase DISPERSION_RATE t_prime k_max^2 beyond
     evolution.PHASE_LIMIT is rounding noise: NumericRangeError.
     """
     grid, n = rho.grid, rho.grid.n_points
@@ -108,12 +109,11 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
     if not phase <= PHASE_LIMIT:  # NaN fails too
         raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
-    factors = rho.factors.reshape(len(rho.factors), 2 * rho.rank)
-    overlaps = _gram([factors]) * grid.dx
-    if not np.isfinite(overlaps).all():
+    if not np.isfinite(rho.gram).all():
         raise GridError("the state to fly is not finite; no grid holds it")
-    _, modes, discarded = _eigh_above_rounding(overlaps, tail_tol, "flown trace")
-    width = min(FLIGHT_COLUMNS, rho.rank)
+    _, modes, discarded = _eigh_above_rounding(rho.gram, tail_tol, "flown trace")
+    factors = rho.factors.reshape(len(rho.factors), -1)  # a view of row-major factors
+    width = min(FLIGHT_COLUMNS, modes.shape[1])
     flight = np.empty((n, width), dtype=complex, order="F")
     density, gram, aliased = np.zeros(n), 0.0, 0.0
     band = slice(3 * n // 8 + 1, n - 3 * n // 8)  # |k| above 3/4 of the Nyquist frequency
@@ -132,8 +132,7 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
         np.fft.ifft(buf, axis=0, out=buf)
         floats = buf.T.view(float)
         density += np.einsum("ij,ij->j", floats, floats).reshape(n, 2).sum(axis=1)
-        flown = _gram([buf]) * grid.dx
-        gram += sum(w @ flown @ w.conj().T for w in chunk.reshape(2, rho.rank, -1))
+        gram += chunk @ (_gram([buf]) * grid.dx) @ chunk.conj().T
     out = ScreenDensity(grid=grid, density=density, gram=gram, discarded_weight=discarded,
                         nyquist_band_weight=aliased)
     edge = out.boundary_weight()
@@ -162,30 +161,22 @@ def _interior_extrema(values: np.ndarray) -> np.ndarray:
     return turns
 
 
-def fringe_visibility(pattern: ScreenPattern, window=None) -> float:
-    """Average fringe contrast over adjacent extremum pairs in a window.
+def fringe_visibility(pattern: ScreenPattern) -> float | None:
+    """Average fringe contrast over adjacent extremum pairs, or None where it is undefined.
 
-    window is an (x_lo, x_hi) interval on the wavelength axis; by default
-    a central window of width DEFAULT_VISIBILITY_WINDOW around the
-    intensity centroid.  Raises UndefinedVisibilityError when the window
-    holds fewer than two interior extrema (a fringe-free pattern), which
-    is deliberately distinct from measuring zero contrast.
+    The window is VISIBILITY_WINDOW wide around the intensity centroid.  A window that
+    holds fewer than two interior extrema (a fringe-free pattern) has no contrast to
+    measure: None, deliberately distinct from a measured contrast of zero.
     """
     x = pattern.x_axis
     inten = pattern.intensity
-    if window is None:
-        total = float(np.sum(inten))
-        centre = float(np.sum(x * inten) / total) if total > 0.0 else 0.0
-        half = 0.5 * DEFAULT_VISIBILITY_WINDOW
-        window = (centre - half, centre + half)
-    lo, hi = float(window[0]), float(window[1])
-    mask = (x >= lo) & (x <= hi)
-    values = inten[mask]
-    if values.size < 3:
-        raise UndefinedVisibilityError("analysis window holds too few samples")
+    total = float(np.sum(inten))
+    centre = float(np.sum(x * inten) / total) if total > 0.0 else 0.0
+    half = 0.5 * VISIBILITY_WINDOW
+    values = inten[(x >= centre - half) & (x <= centre + half)]
     turns = _interior_extrema(values)
     if turns.size < 2:
-        raise UndefinedVisibilityError("no adjacent fringe extrema inside the window")
+        return None
     levels = values[turns]
     hi_side = np.maximum(levels[:-1], levels[1:])
     lo_side = np.minimum(levels[:-1], levels[1:])

@@ -28,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .duality import DualityMetrics, SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
-from .errors import ConfigError, NumericError, UndefinedVisibilityError
+from .errors import ConfigError, NumericError
 from .evolution import InteractionParams
-from .fock import QGrid, create_output, husimi_q, quadrature_projector, write_columns
+from .fock import (QGrid, coherent_state, create_output, husimi_q, quadrature_projector,
+                   write_columns)
 from .interferometer import (GridSpec, JointState, PreparationParams, build_initial,
                              condition_on_quadrature, field_density, interact,
                              quadrature_pdf, trace_out_field)
@@ -243,7 +244,7 @@ def read_config(path) -> dict:
     """The JSON object of a config file, not yet validated."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -325,13 +326,6 @@ def most_probable_chi(state: JointState, theta: float, scan=None) -> float:
     return 0.5 * (a + b)
 
 
-def _visibility_or_none(pattern: ScreenPattern) -> float | None:
-    try:
-        return fringe_visibility(pattern)
-    except UndefinedVisibilityError:
-        return None
-
-
 def _cavity_exit(config: ExperimentConfig, diagnostics: dict | None = None) -> JointState:
     """build -> interact: the joint state leaving the cavities.
 
@@ -393,7 +387,7 @@ def run(config: ExperimentConfig) -> RunResult:
     diagnostics["purity_after_flight"] = rho_screen.purity()
 
     pattern = screen_distribution(rho_screen)
-    visibility = _visibility_or_none(pattern)
+    visibility = fringe_visibility(pattern)
     diagnostics["visibility"] = visibility
     return RunResult(config=config, pattern=pattern, metrics=duality_triple,
                      visibility=visibility, diagnostics=diagnostics,
@@ -420,17 +414,13 @@ def epsilon_sweep(base: ExperimentConfig, epsilons, level: str) -> list[SweepPoi
         raise ConfigError("sweep level must be 'b' or 'c'")
     keep_freed_memory()
     case = PreparationParams(1.0, 0.0, math.pi / 2.0 if level == "b" else 0.0)
-    # one more row and column through alpha: the overlap <alpha|rho|alpha> is pi Q(alpha)
-    x_axis, y_axis = np.append(QGRID_AXIS, base.alpha.real), np.append(QGRID_AXIS, base.alpha.imag)
     points = []
     for eps in epsilons:
         state = _cavity_exit(replace(base, stage=3, epsilon=eps, case=case))
-        q = husimi_q(field_density(state), x_axis, y_axis).values
-        points.append(SweepPoint(
-            epsilon=float(eps),
-            qgrid=QGrid(x_axis=QGRID_AXIS, y_axis=QGRID_AXIS, values=q[:-1, :-1]),
-            overlap_with_initial=math.pi * float(q[-1, -1]),
-        ))
+        rho = field_density(state)
+        c = coherent_state(base.alpha, state.n_max)
+        points.append(SweepPoint(epsilon=float(eps), qgrid=husimi_q(rho, QGRID_AXIS, QGRID_AXIS),
+                                 overlap_with_initial=float((c.conj() @ rho @ c).real)))
     return points
 
 

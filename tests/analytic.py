@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from duality_sim.errors import UndefinedVisibilityError
 from duality_sim.fock import coherent_state, quadrature_projector
 from duality_sim.interferometer import (LEVEL_INDEX, MIDPOINT, X_BOTTOM, X_TOP, AtomDensity,
                                         JointState, _gram, _slit_profile)
@@ -48,12 +47,10 @@ def pattern_l2(a, b) -> float:
     return intensity_l2(a, b.intensity)
 
 
-def visibility_or_zero(pattern, window=None) -> float:
+def visibility_or_zero(pattern) -> float:
     """Fringe contrast, with a fringe-free pattern counting as zero contrast."""
-    try:
-        return fringe_visibility(pattern, window)
-    except UndefinedVisibilityError:
-        return 0.0
+    visibility = fringe_visibility(pattern)
+    return 0.0 if visibility is None else visibility
 
 
 def lowering_operator(n_max: int) -> np.ndarray:
@@ -141,11 +138,20 @@ def full_grid_atom(rho):
     return AtomDensity(grid=rho.grid, factors=factors, discarded_weight=rho.discarded_weight)
 
 
+def row_by_row_gram(rho) -> np.ndarray:
+    """dx sum_g f_g^dag f_g over the factor rows, f_g = factors[g] flattened level-major."""
+    gram = np.zeros((2 * rho.rank, 2 * rho.rank), dtype=complex)
+    for row in rho.factors:
+        flat = row.reshape(-1)
+        gram += np.outer(flat.conj(), flat)
+    return gram * rho.grid.dx
+
+
 def level_flight(rho, t_prime: float):
     """The flight level by level: level b, then level c, at full rank, each in its own buffer.
 
-    Each level flies all rank factor columns.  Returns the ScreenDensity, its density summed
-    over the two levels.
+    Each level flies all rank factor columns.  Returns the ScreenDensity: its density summed
+    over the two levels, its Gram level-major over the flown columns, b-c blocks included.
     """
     grid = rho.grid
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
@@ -162,7 +168,7 @@ def level_flight(rho, t_prime: float):
         density[:, level] = sum(np.abs(flight[:, j]) ** 2 for j in range(rho.rank))
         return flight
 
-    gram = _gram([fly(0), fly(1)]) * grid.dx
+    gram = _gram([np.hstack([fly(0), fly(1)])]) * grid.dx
     return ScreenDensity(grid=grid, density=density[:, 0] + density[:, 1], gram=gram)
 
 

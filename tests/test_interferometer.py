@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analytic import atom_trace, dense_rho, fidelity, full_grid_atom, top_path_weight
+from analytic import (atom_trace, dense_rho, fidelity, full_grid_atom, row_by_row_gram,
+                      top_path_weight)
 from duality_sim import interferometer
 from duality_sim.duality import sphere_case
 from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
@@ -142,6 +143,21 @@ class TestTraceOutField:
         rho = trace_out_field(build_initial(prep_v1(), ALPHA, default_grid, 48))
         assert atom_trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+
+    def test_gram_is_level_major(self, default_grid):
+        # both levels on the top path, so the b-c block of the Gram is not zero
+        prep = PreparationParams(INV_SQRT2, INV_SQRT2, math.pi / 4.0)
+        rho = trace_out_field(interact(build_initial(prep, ALPHA, default_grid, 48), PI_KICK))
+        r, dx = rho.rank, default_grid.dx
+        levels = [rho.factors[:, LEVEL_INDEX[level]] for level in "bc"]
+        assert r >= 2
+        assert np.max(np.abs(rho.gram - row_by_row_gram(rho))) <= 1e-15
+        traced = sum(level.conj().T @ level for level in levels) * dx
+        assert np.max(np.abs(rho.gram[:r, :r] + rho.gram[r:, r:] - traced)) <= 1e-15
+        cross = levels[0].conj().T @ levels[1] * dx
+        assert np.max(np.abs(rho.gram[:r, r:] - cross)) <= 1e-15
+        assert np.max(np.abs(cross)) > 0.1
+        assert rho.purity() == pytest.approx(float(np.sum(np.abs(traced) ** 2)), abs=1e-15)
 
     def test_which_path_suppresses_coherence(self, default_grid):
         # the packet-centre coherence shrinks by |<alpha|-alpha>| = e^{-16}

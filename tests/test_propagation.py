@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from analytic import (assert_close_readouts, full_grid_atom, gaussian_spread_sigma,
                       intensity_l2, level_flight, two_slit_intensity, window_density)
 from conftest import SMALL_NUMERIC
-from duality_sim.errors import GridError, NumericError, UndefinedVisibilityError
+from duality_sim.errors import GridError, NumericError
 from duality_sim.evolution import InteractionParams
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
                                         GridSpec, PreparationParams, build_initial, interact,
@@ -20,6 +20,18 @@ from duality_sim.runner import ExperimentConfig, run
 
 ALPHA = math.sqrt(8.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+class RecordsProducts(np.ndarray):
+    """An array that records every operand of a matrix product it enters, as plain arrays."""
+
+    operands = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, RecordsProducts) else a for a in inputs]
+        if ufunc is np.matmul:
+            RecordsProducts.operands += plain
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 def single_packet_density(default_grid, t_prime):
@@ -81,6 +93,21 @@ class TestFreePropagate:
         assert np.array_equal(oracle.gram, full.gram)
         assert_close_readouts(out, oracle)
         assert oracle.boundary_weight() > 1e-6  # past the default boundary tolerance
+
+    def test_flight_multiplies_a_view_of_the_factors(self, default_grid):
+        # the (rows, 2 rank) matrix that the modes multiply is a view of rho.factors, not a copy
+        state = interact(build_initial(PreparationParams(INV_SQRT2, INV_SQRT2, math.pi / 4.0),
+                                       ALPHA, default_grid, 48),
+                         InteractionParams(epsilon=0.0, theta_int=math.pi))
+        rho = trace_out_field(state)
+        spied = AtomDensity(grid=default_grid, factors=rho.factors.view(RecordsProducts),
+                            start=rho.start)
+        RecordsProducts.operands = []
+        free_propagate(spied, 1.0)
+        shape = (len(rho.factors), 2 * rho.rank)
+        matrices = [a for a in RecordsProducts.operands if a.shape == shape]
+        assert rho.rank >= 2 and matrices
+        assert all(np.shares_memory(a, rho.factors) for a in matrices)
 
     def test_grid_too_small_raises(self, default_grid):
         rho = trace_out_field(build_initial(
@@ -239,20 +266,14 @@ class TestFringeVisibility:
     def test_ideal_fringes_near_unity(self, fringed):
         assert fringe_visibility(fringed) > 0.95
 
-    def test_window_dilution(self, fringed):
-        # fringe contrast decays away from the pattern centre, so a very
-        # wide window averages in low-contrast pairs
-        wide = fringe_visibility(fringed, (0.125 - 1.0, 0.125 + 1.0))
-        assert wide < fringe_visibility(fringed)
-
     def test_fringe_free_pattern_is_undefined(self, default_grid):
         out, _ = single_packet_density(default_grid, 3.0)
-        with pytest.raises(UndefinedVisibilityError):
-            fringe_visibility(screen_distribution(out))
+        assert fringe_visibility(screen_distribution(out)) is None
 
     def test_tiny_window_is_undefined(self, fringed):
-        with pytest.raises(UndefinedVisibilityError):
-            fringe_visibility(fringed, (0.125, 0.1251))
+        # every 512th sample is ~0.52 wavelengths apart, so the window holds at most one
+        coarse = ScreenPattern(fringed.x_axis[::512], fringed.intensity[::512])
+        assert fringe_visibility(coarse) is None
 
     def test_partial_contrast(self, default_grid):
         # traced single-photon-level field: contrast should sit near e^{-2}

@@ -256,7 +256,7 @@ def test_local_kick_run_peaks_below_one_full_grid_level_buffer():
 
 
 def test_local_kick_flight_holds_eight_mode_columns():
-    # the flight's peak above its inputs is its (N, 8) buffer plus (N,) columns: 3.6 MB
+    # the flight's peak above its inputs is its (N, 8) buffer plus (N,) columns: 3.3 MB
     # at rank 26, where one (N, rank) buffer took it to 8.4 MB
     config = ExperimentConfig.from_dict(LOCAL_KICK_16384)
     rho = trace_out_field(runner._cavity_exit(config))
@@ -478,6 +478,20 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sphere", "--stage", "1"],
+        ["sweep-epsilon", "--level", "b", "--values", "0"],
+    ])
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"stage": 1}', b"[" * 200000, b'{"alpha": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, command, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_kick_past_the_nyquist_frequency_exit_code(self, tmp_path, capsys):
         # theta_int = 30 kicks momentum past 3/4 of the default grid's Nyquist

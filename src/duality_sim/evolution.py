@@ -27,12 +27,14 @@ map is exactly unitary, |stay|^2 + |cross|^2 = 1; at a common node A = B = 0
 and it is the identity.
 
 The exact (finite-detuning) multipliers replace e^{i theta} - 1 by
+e^{-i Delta t / 2} (cos(r t) + i (Delta/2) sin(r t) / r) - 1, r^2 = mu = g^2 (A + B) + Delta^2 / 4,
+with the coupling time g t = Theta * Delta / g, so both maps share Theta.  Its two
+phases are ~Delta^2 Theta / 2 each, so it is evaluated through the light shift
+delta = g t (r - Delta/2) = g t (A + B) / (r + Delta/2), without their cancellation:
 
-    e^{-i Delta t / 2} (cos(sqrt(mu) t) + i (Delta/2) sin(sqrt(mu) t)/sqrt(mu)) - 1,
-    mu = g^2 (A + B) + Delta^2 / 4,
+    2i sin(delta/2) e^{i delta/2} - i e^{-i Delta t/2} sin(r t) (A + B) / (r (r + Delta/2)).
 
-with the coupling time g t = Theta * Delta / g, so both maps share Theta,
-and leave a small population in |a> reported as a leak instead of a state.
+The exact map leaves a small population in |a>, reported as a leak instead of a state.
 The largest phase, Theta (A + B) or g t sqrt(mu), must stay within
 PHASE_LIMIT, or NumericRangeError is raised before anything is evaluated.
 """
@@ -110,10 +112,11 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     safe = np.where(degenerate, 1.0, total)
     sinc = None
     if exact:
-        mu = safe + 0.25 * d * d  # > 0 where d * d underflows; degenerate entries are unread
-        arg = gt * np.sqrt(mu)
-        sinc = np.sin(arg) / np.sqrt(mu)
-        ring = np.exp(-0.5j * d * gt) * (np.cos(arg) + 0.5j * d * sinc) - 1.0
+        root = np.sqrt(safe + 0.25 * d * d)  # > 0 where d * d underflows; degenerates unread
+        sinc = np.sin(gt * root) / root
+        lift = safe / (root + 0.5 * d)  # sqrt(mu) - Delta/2 without cancellation
+        ring = (2j * np.sin(0.5 * gt * lift) * np.exp(0.5j * gt * lift)
+                - 1j * np.exp(-0.5j * d * gt) * sinc * lift)
     else:
         ring = np.exp(1j * params.theta_int * total) - 1.0
 

@@ -245,9 +245,16 @@ def _phase_row(theta: float, n_max: int) -> np.ndarray:
     return row
 
 
-def rank_cut(weights: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues above rounding: > n_max * eps * max(lambda_max, 0)."""
-    return weights > weights.size * np.finfo(float).eps * max(weights[-1], 0.0)
+def rank_cut(matrix: np.ndarray):
+    """(weights, vecs, dropped_share): the eigenpairs of a Hermitian PSD n x n matrix above
+    rounding.  The eigenvalues (clipped at 0) at most n eps lambda_max are dropped: at most n
+    of them, over a trace >= lambda_max, so their share is <= n^2 eps, rounding to report, not
+    a loss to check.  A zero matrix keeps no pair."""
+    weights, vecs = np.linalg.eigh(matrix)
+    weights = np.clip(weights, 0.0, None)
+    keep = weights > weights.size * np.finfo(float).eps * weights[-1]
+    dropped = float(np.sum(weights[~keep])) / float(np.sum(weights)) if keep.any() else 0.0
+    return weights[keep], vecs[:, keep], dropped
 
 
 def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
@@ -258,11 +265,10 @@ def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
     Bargmann polynomial overflows raises NumericRangeError.
     """
     x_axis, y_axis = np.asarray(x_axis, dtype=float), np.asarray(y_axis, dtype=float)
-    weights, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    keep = rank_cut(weights)
+    weights, vecs, _ = rank_cut(np.asarray(rho, dtype=complex))
     # coeffs[k, m] = sqrt(lambda_k) v_km / sqrt(m!)
-    inv_sqrt_fact = np.cumprod(np.r_[1.0, 1.0 / np.sqrt(np.arange(1.0, weights.size))])
-    coeffs = (vecs[:, keep] * np.sqrt(weights[keep])).T * inv_sqrt_fact
+    inv_sqrt_fact = np.cumprod(np.r_[1.0, 1.0 / np.sqrt(np.arange(1.0, len(vecs)))])
+    coeffs = (vecs * np.sqrt(weights)).T * inv_sqrt_fact
     z = (x_axis[:, None] - 1j * y_axis[None, :]).ravel()  # conj(beta)
     total = np.zeros(z.size)
     for row in coeffs.tolist():  # row by row: a (points,) array stays in cache

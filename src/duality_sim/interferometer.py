@@ -209,8 +209,10 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     packet density exceeds WEIGHT_FLOOR times its peak, and the Fock columns
     up to the first whose coherent tail weight is at most WEIGHT_FLOOR, plus
     one; n_max is a ceiling.  The weight left out raises TruncationError
-    above tail_tol: fock_tail, the coherent tail beyond the carried columns
-    (at the ceiling 1 - ||c||^2, clipped at 0), and window_tail.  A grid on
+    above tail_tol: fock_tail, the coherent tail beyond the carried columns, and
+    window_tail.  At the ceiling fock_tail is 1 - ||c||^2 clipped at 0 or, where that
+    is rounding, |c_{n_max-1}|^2 (|alpha|^2 / n_max) / (1 - r): beyond n_max the Poisson
+    ratios |c_{m+1}|^2 / |c_m|^2 are <= r = |alpha|^2 / (n_max + 1) < 1.  A grid on
     which the packets' weight is not 1 within tail_tol does not sample them:
     ConfigError.
     """
@@ -218,7 +220,9 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     if grid.x_min > X_TOP - margin or grid.x_max < X_BOTTOM + margin:
         raise ConfigError("grid does not cover both slits with a 6 sigma margin")
     c_m = coherent_state(alpha, n_max)
-    missing = 1.0 - float(np.vdot(c_m, c_m).real)
+    r = abs(alpha) ** 2 / (n_max + 1)  # finite: coherent_state refuses |alpha| beyond ~39
+    bound = abs(c_m[-1] * alpha) ** 2 / n_max / (1.0 - r) if r < 1.0 else math.inf
+    missing = min(max(1.0 - float(np.vdot(c_m, c_m).real), 0.0), bound)
     if not missing <= tail_tol:  # NaN when the amplitudes overflowed
         raise TruncationError(
             f"the coherent state leaves {missing:.3e} weight beyond {n_max} Fock states "
@@ -226,8 +230,7 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
         )
     tails = np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1]  # tails[m] = sum_{k >= m} |c_k|^2
     n_c = min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, n_max)
-    # at the ceiling only 1 - ||c||^2 estimates the weight beyond n_max
-    fock_tail = float(tails[n_c]) if n_c < n_max else max(missing, 0.0)
+    fock_tail = float(tails[n_c]) if n_c < n_max else missing
     c_m = c_m[:n_c]
     g_top = _slit_profile(grid, X_TOP)
     phi = float(prep.phi)
@@ -326,35 +329,17 @@ def _purity(gram: np.ndarray) -> float:
     return float(np.sum(np.abs(gram[:rank, :rank] + gram[rank:, rank:]) ** 2))
 
 
-def _eigh_above_rounding(gram: np.ndarray, tail_tol: float, what: str):
-    """(weights, eigenvectors) of a Gram matrix above rounding (rank_cut), and the dropped share.
-
-    The dropped directions' share of the trace raises NumericError above tail_tol.
-    """
-    weights, vecs = np.linalg.eigh(gram)
-    weights = np.clip(weights, 0.0, None)
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        raise NumericError(f"cannot take the {what} of a zero-norm state")
-    keep = rank_cut(weights)
-    discarded = float(np.sum(weights[~keep])) / total
-    if not discarded <= tail_tol:  # NaN fails too
-        raise NumericError(f"the rank cut discarded {discarded:.3e} of the {what} "
-                           f"(tolerance {tail_tol:.1e})")
-    return weights[keep], vecs[:, keep], discarded
-
-
-def trace_out_field(state: JointState, tail_tol: float = 1e-9) -> AtomDensity:
+def trace_out_field(state: JointState) -> AtomDensity:
     """Partial trace over the field at its true rank, renormalised to unit trace.
 
-    The Fock slices of the joint state are factor columns of the reduced
-    density operator.  The eigenvectors v_k of their Gram matrix give the
-    Schmidt directions, with weights lambda_k; L = slices @ v_k for the
-    lambda_k above rounding (n_max * eps * lambda_max) spans the same
-    operator.  The weight of the dropped directions is reported as
-    discarded_weight and raises NumericError above tail_tol.
+    The Fock slices of the joint state are factor columns of the reduced density
+    operator.  L = slices @ v_k spans it at the Schmidt rank, for the eigenvectors v_k of
+    their Gram matrix whose weights lambda_k are above rounding (fock.rank_cut).  The
+    dropped share, at most fock_columns^2 eps, is discarded_weight.  A zero state: NumericError.
     """
-    weights, vecs, discarded = _eigh_above_rounding(state.field_gram, tail_tol, "atomic trace")
+    weights, vecs, discarded = rank_cut(state.field_gram)
+    if not weights.size:
+        raise NumericError("cannot take the atomic trace of a zero-norm state")
     factors = state.atom_columns(vecs / math.sqrt(float(np.sum(weights))))
     return AtomDensity(state.grid, factors, start=state.start, discarded_weight=discarded)
 

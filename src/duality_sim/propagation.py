@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NumericRangeError
+from .errors import GridError, NumericError, NumericRangeError
 from .evolution import PHASE_LIMIT
-from .fock import write_columns
-from .interferometer import AtomDensity, GridSpec, _eigh_above_rounding, _gram, _purity
+from .fock import rank_cut, write_columns
+from .interferometer import AtomDensity, GridSpec, _gram, _purity
 
 # kernel phase per unit flight time at unit spatial frequency
 DISPERSION_RATE = 1.0 / (4.0 * math.pi ** 2)
@@ -86,13 +86,12 @@ class ScreenDensity:
         return _purity(self.gram)
 
 
-def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
-                   tail_tol: float = 1e-9) -> ScreenDensity:
+def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6) -> ScreenDensity:
     """Evolve the atomic density operator through a field-free flight of duration t_prime.
 
     The screen records position, not level, so the flight carries rho's position
-    modes: the eigenvectors of rho.gram above rounding (fock.rank_cut); the share of
-    the trace they drop raises NumericError above tail_tol.  The modes fly in chunks
+    modes: the eigenvectors of rho.gram above rounding (fock.rank_cut), whose dropped share,
+    at most (2 rank)^2 * eps, is reported as discarded_weight.  The modes fly in chunks
     through one column-major (n_points, min(FLIGHT_COLUMNS, modes)) buffer, each FFT
     along a contiguous column, filled from a (rows, 2 rank) view of rho.factors; each
     chunk adds its density and its flown Gram, mapped back as chunk @ flown @ chunk^dag
@@ -101,7 +100,7 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
     GridError guards against a state that reaches the grid's edge, or whose weight
     above 3/4 of its Nyquist frequency (nyquist_band_weight, summed before the kernel)
     exceeds boundary_tol.  A phase DISPERSION_RATE t_prime k_max^2 beyond
-    evolution.PHASE_LIMIT is rounding noise: NumericRangeError.
+    evolution.PHASE_LIMIT is rounding noise: NumericRangeError; a zero state NumericError.
     """
     grid, n = rho.grid, rho.grid.n_points
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dx)
@@ -111,7 +110,9 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6,
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
     if not np.isfinite(rho.gram).all():
         raise GridError("the state to fly is not finite; no grid holds it")
-    _, modes, discarded = _eigh_above_rounding(rho.gram, tail_tol, "flown trace")
+    _, modes, discarded = rank_cut(rho.gram)
+    if not modes.shape[1]:
+        raise NumericError("cannot take the flown trace of a zero-norm state")
     factors = rho.factors.reshape(len(rho.factors), -1)  # a view of row-major factors
     width = min(FLIGHT_COLUMNS, modes.shape[1])
     flight = np.empty((n, width), dtype=complex, order="F")

@@ -370,15 +370,14 @@ def run(config: ExperimentConfig) -> RunResult:
         diagnostics["readout"] = {"kind": "quadrature", "theta": config.readout.theta,
                                   "chi": chi, "outcome_density": density}
     else:
-        rho = trace_out_field(state, tail_tol=config.numeric.tail_tolerance)
+        rho = trace_out_field(state)
         diagnostics["readout"] = {"kind": "trace"}
     diagnostics["schmidt_rank"] = rho.rank
     diagnostics["discarded_weight"] = rho.discarded_weight
     del state  # nothing reads it after the readout; free it before the flight buffer
 
     purity_before = rho.purity()
-    rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance,
-                                tail_tol=config.numeric.tail_tolerance)
+    rho_screen = free_propagate(rho, config.t_prime, config.numeric.boundary_tolerance)
     diagnostics["flight_discarded_weight"] = rho_screen.discarded_weight
     diagnostics["trace"] = rho_screen.trace()
     diagnostics["boundary_weight"] = rho_screen.boundary_weight()

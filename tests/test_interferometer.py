@@ -9,7 +9,7 @@ from analytic import (atom_trace, dense_rho, fidelity, full_grid_atom, row_by_ro
 from duality_sim import interferometer
 from duality_sim.duality import sphere_case
 from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
-                                 NumericRangeError)
+                                 NumericRangeError, TruncationError)
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import coherent_state
 from duality_sim.interferometer import (LEVEL_INDEX, SIGMA, X_BOTTOM, X_TOP,
@@ -46,6 +46,18 @@ class TestBuildInitial:
     def test_unit_norm(self, default_grid):
         state = build_initial(prep_v1(), ALPHA, default_grid, 64)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_max", [32, 40, 45, 62])
+    def test_tail_beyond_the_ceiling_is_bounded_not_rounding(self, default_grid, n_max):
+        # 1 - ||c||^2 is 1.1e-15 of rounding at alpha = sqrt(8) wherever the true tail is
+        # smaller; the Poisson bound reads it there, within 0.2% above a direct sum
+        tail = float(np.sum(np.abs(coherent_state(ALPHA, 200)[n_max:]) ** 2))
+        if tail > 1e-15:
+            with pytest.raises(TruncationError, match=f"leaves {tail:.3e} weight beyond {n_max}"):
+                build_initial(prep_v1(), ALPHA, default_grid, n_max, tail_tol=1e-15)
+            return
+        state = build_initial(prep_v1(), ALPHA, default_grid, n_max, tail_tol=1e-15)
+        assert state.n_max == n_max and tail <= state.fock_tail <= 1.002 * tail
 
     def test_grid_must_cover_slits(self):
         with pytest.raises(ConfigError):

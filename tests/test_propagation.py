@@ -142,9 +142,9 @@ class TestFreePropagate:
         band *= default_grid.dx / n
         assert 0.5 < flown.nyquist_band_weight == pytest.approx(band, rel=1e-12)
 
-    def test_mode_cut_weight_is_reported_and_checked(self, default_grid):
+    def test_mode_cut_weight_is_reported(self, default_grid):
         # level b holds a profile orthogonal to level c's with 1e-20 of the trace:
-        # below fock.rank_cut, so that position mode does not fly
+        # below fock.rank_cut, so that position mode does not fly, and its share is reported
         rho = trace_out_field(build_initial(
             PreparationParams(1.0, 0.0, 0.0), 0.0, default_grid, 4))
         packet = rho.factors[:, 1, 0]
@@ -156,8 +156,13 @@ class TestFreePropagate:
         out = free_propagate(faint, 1.0)
         assert abs(out.discarded_weight - 1e-20) <= 1e-25
         assert out.purity() == pytest.approx(1.0, abs=1e-14)
-        with pytest.raises(NumericError, match="flown trace"):
-            free_propagate(faint, 1.0, tail_tol=1e-21)
+
+    def test_zero_state_rejected(self, default_grid):
+        # the rank cut keeps no mode of a zero state: nothing can fly
+        zero = AtomDensity(grid=default_grid, factors=np.zeros((64, 2, 1), dtype=complex),
+                           start=2000)
+        with pytest.raises(NumericError, match="zero-norm"):
+            free_propagate(zero, 1.0)
 
     def test_slit_kick_trace_run_transforms_at_most_two_columns(self, monkeypatch):
         # the traced slit-kick atom has 2-3 factor columns per level but 1-2 position modes

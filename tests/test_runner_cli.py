@@ -255,6 +255,18 @@ def test_local_kick_run_peaks_below_one_full_grid_level_buffer():
     assert peak <= level_buffer
 
 
+def test_local_kick_run_at_a_tight_tail_tolerance_exits_0(tmp_path):
+    # at 1e-15 the only shares above the tolerance are rounding: 1 - ||c||^2 of the
+    # coherent state (1.1e-15) and the flight's rank cut (1.6e-14), reported, not refused
+    config = {**LOCAL_KICK_16384, "numeric": {**LOCAL_KICK_16384["numeric"],
+                                              "tail_tolerance": 1e-15}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["initial_fock_tail"] <= 1e-15 < diag["flight_discarded_weight"]
+    assert_run_invariants(tmp_path)
+
+
 def test_local_kick_flight_holds_eight_mode_columns():
     # the flight's peak above its inputs is its (N, 8) buffer plus (N,) columns: 3.3 MB
     # at rank 26, where one (N, rank) buffer took it to 8.4 MB
@@ -899,8 +911,8 @@ def assert_documented_exit(command, data):
 
 def assert_run_invariants(run_dir):
     """A written run has unit trace, a flight that keeps its purity, a non-negative pattern
-    that integrates to the trace, boundary and Nyquist-band weights within tolerance and a
-    closed weight ledger.
+    that integrates to the trace, boundary and Nyquist-band weights within tolerance, rank-cut
+    shares within rounding and a closed weight ledger.
     """
     diag = json.loads((run_dir / "diagnostics.json").read_text())
     numeric = json.loads((run_dir / "metrics.json").read_text())["config"]["numeric"]
@@ -918,7 +930,11 @@ def assert_run_invariants(run_dir):
     assert abs(float(np.sum(intensity)) * dx - trace) <= 1e-8
     assert diag["boundary_weight"] <= numeric["boundary_tolerance"]
     assert 0.0 <= diag["nyquist_band_weight"] <= numeric["boundary_tolerance"]
-    assert 0.0 <= diag["flight_discarded_weight"] <= numeric["tail_tolerance"]
+    # the rank cuts drop rounding only: at most n^2 eps of an n x n Gram's trace
+    eps = np.finfo(float).eps
+    assert 0.0 <= diag["flight_discarded_weight"] <= (2 * diag["schmidt_rank"]) ** 2 * eps
+    if diag["readout"]["kind"] == "trace":
+        assert 0.0 <= diag["discarded_weight"] <= diag["fock_columns"] ** 2 * eps
     ledger = (diag["initial_norm_sq"] - diag["post_interaction_norm_sq"] - diag["leak"]
               - diag["truncation_loss"])
     assert abs(ledger) <= 1e-12, ledger

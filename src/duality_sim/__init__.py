@@ -10,8 +10,7 @@ visibility / distinguishability / concurrence triple of the preparation.
 """
 
 from .duality import DualityMetrics, gamma_of_phi, metrics, sphere_case
-from .errors import (ConfigError, GridError, ImpossibleOutcomeError, NumericError,
-                     NumericRangeError, SimulationError, TruncationError)
+from .errors import ConfigError, NumericError
 from .evolution import InteractionParams
 from .fock import QGrid, coherent_state, husimi_q, quadrature_projector
 from .interferometer import (AtomDensity, GridSpec, JointState, PreparationParams,

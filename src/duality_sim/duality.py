@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 __all__ = ["DualityMetrics", "SPHERE_CASE_NAMES",
            "metrics", "gamma_of_phi", "sphere_case"]
 
@@ -31,10 +33,10 @@ def metrics(c_up: complex, c_down: complex, gamma: complex) -> DualityMetrics:
     w_up = abs(c_up) ** 2
     w_down = abs(c_down) ** 2
     if abs(w_up + w_down - 1.0) > 1e-12:
-        raise ValueError("path amplitudes must satisfy |c_up|^2 + |c_down|^2 = 1")
+        raise ConfigError("path amplitudes must satisfy |c_up|^2 + |c_down|^2 = 1")
     g = abs(gamma)
     if g > 1.0 + 1e-12:
-        raise ValueError("|gamma| cannot exceed 1")
+        raise ConfigError("|gamma| cannot exceed 1")
     g = min(g, 1.0)
     pair = abs(c_up) * abs(c_down)
     return DualityMetrics(
@@ -71,4 +73,4 @@ def sphere_case(name: str) -> tuple[float, float, float]:
     try:
         return _SPHERE_TABLE[name]
     except KeyError:
-        raise ValueError(f"unknown sphere case {name!r}; choose from {SPHERE_CASE_NAMES}")
+        raise ConfigError(f"unknown sphere case {name!r}; choose from {SPHERE_CASE_NAMES}")

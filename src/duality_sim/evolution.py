@@ -36,7 +36,7 @@ delta = g t (r - Delta/2) = g t (A + B) / (r + Delta/2), without their cancellat
 
 The exact map leaves a small population in |a>, reported as a leak instead of a state.
 The largest phase, Theta (A + B) or g t sqrt(mu), must stay within
-PHASE_LIMIT, or NumericRangeError is raised before anything is evaluated.
+PHASE_LIMIT, or NumericError is raised before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericRangeError
+from .errors import ConfigError, NumericError
 
 # A + B values below this floor are float residue of node positions
 # (cos(pi/2) is ~6e-17, not 0); the map there is the identity, as at an
@@ -86,7 +86,7 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     population per unit input weight.  leak is None in dispersive mode.
     """
     if mode not in ("dispersive", "exact"):
-        raise ValueError(f"unknown interaction mode {mode!r}")
+        raise ConfigError(f"unknown interaction mode {mode!r}")
     exact = mode == "exact"
     x = np.asarray(x, dtype=float)
     cq = np.cos(3.0 * x)[..., None]
@@ -96,7 +96,7 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     try:
         drive = cc * cc * abs(eps) ** 2
     except OverflowError:
-        raise NumericRangeError(f"|epsilon|^2 leaves the float range (epsilon = {eps})")
+        raise NumericError(f"|epsilon|^2 leaves the float range (epsilon = {eps})")
     photon = cq * cq * k
     total = drive + photon
     d = params.detuning_ratio
@@ -105,7 +105,7 @@ def branch_multipliers(x, params: InteractionParams, n_max: int, mode="dispersiv
     # sqrt(mu) >= Delta / 2, so g t sqrt(mu) also bounds the phase Delta g t / 2
     phase = gt * math.sqrt(largest + 0.25 * d * d) if exact else params.theta_int * largest
     if not phase <= PHASE_LIMIT:  # NaN fails too
-        raise NumericRangeError(
+        raise NumericError(
             f"the interaction phase {'g t sqrt(mu)' if exact else 'theta_int (A + B)'} "
             f"reaches {phase:.3e} rad, beyond the limit of {PHASE_LIMIT:.3e} rad")
     degenerate = total <= DEGENERACY_FLOOR

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericRangeError
+from .errors import ConfigError, NumericError
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,15 +174,15 @@ def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     the missing weight stays below the tail tolerance of the run.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise ConfigError("n_max must be at least 1")
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("coherent amplitude must be finite")
+        raise ConfigError("coherent amplitude must be finite")
     amps = np.empty(n_max, dtype=complex)
     # the clip keeps |alpha|^2 finite and changes nothing: exp underflows from |alpha| ~ 39
     amps[0] = math.exp(-0.5 * min(abs(alpha), 1e154) ** 2)
     if amps[0] == 0.0:
-        raise NumericRangeError(f"exp(-|alpha|^2 / 2) underflows to 0 (alpha = {alpha})")
+        raise NumericError(f"exp(-|alpha|^2 / 2) underflows to 0 (alpha = {alpha})")
     if n_max > 1:
         # c_m = c_{m-1} * alpha / sqrt(m); stable for any |alpha| the
         # truncation can represent.
@@ -204,7 +204,7 @@ def quadrature_projector(theta: float, chi, n_max: int) -> np.ndarray:
 
     which never overflows (|psi_n| < 1 for all n, u).  The guard is on the opposite failure:
     where exp(-u^2/2) underflows, an outcome's whole row is zero and cannot be normalised, so
-    NumericRangeError is raised.  One outcome runs the recurrence on Python floats, a sweep on
+    NumericError is raised.  One outcome runs the recurrence on Python floats, a sweep on
     arrays: the same operations in the same order, so a row has the same bits either way, and
     one outcome costs about a tenth of a one-element sweep.
     """
@@ -212,7 +212,7 @@ def quadrature_projector(theta: float, chi, n_max: int) -> np.ndarray:
     chi = float(chi) if scalar else np.asarray(chi, dtype=float)
     in_range = abs(chi) < 1e153  # NaN fails too; u = sqrt(2) chi and u * u stay finite
     if not (in_range if scalar else in_range.all()):
-        raise NumericRangeError("quadrature outcome must be finite and below 1e153")
+        raise NumericError("quadrature outcome must be finite and below 1e153")
     u = math.sqrt(2.0) * chi
     # numpy's exp on both paths: math.exp differs in the last bit on ~5% of outcomes
     head = np.exp(-0.5 * u * u)
@@ -224,10 +224,10 @@ def quadrature_projector(theta: float, chi, n_max: int) -> np.ndarray:
     finite, no_zero_row = ((all(map(math.isfinite, psi)), any(psi)) if scalar else
                            (np.isfinite(psi).all(), np.abs(psi).max(axis=0).all()))
     if not finite:
-        raise NumericRangeError("oscillator-function recurrence left the float range")
+        raise NumericError("oscillator-function recurrence left the float range")
     if not no_zero_row:
-        raise NumericRangeError("quadrature eigenvalue too large for the truncated basis "
-                                "(oscillator functions underflow)")
+        raise NumericError("quadrature eigenvalue too large for the truncated basis "
+                           "(oscillator functions underflow)")
     return (2.0 ** 0.25) * np.asarray(psi).T * _phase_row(float(theta), n_max)
 
 
@@ -262,7 +262,7 @@ def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
 
     rho must be Hermitian positive semi-definite with trace <= 1; then Q >= 0
     and sum(Q) dx dy approximates trace(rho).  A point so far out that its
-    Bargmann polynomial overflows raises NumericRangeError.
+    Bargmann polynomial overflows raises NumericError.
     """
     x_axis, y_axis = np.asarray(x_axis, dtype=float), np.asarray(y_axis, dtype=float)
     weights, vecs, _ = rank_cut(np.asarray(rho, dtype=complex))
@@ -279,5 +279,5 @@ def husimi_q(rho: np.ndarray, x_axis, y_axis) -> QGrid:
         total += poly.real ** 2 + poly.imag ** 2
     vals = total * np.exp(-(z.real ** 2 + z.imag ** 2)) / math.pi
     if not np.all(np.isfinite(vals)):
-        raise NumericRangeError("phase-space point too far out for the Bargmann polynomials")
+        raise NumericError("phase-space point too far out for the Bargmann polynomials")
     return QGrid(x_axis=x_axis, y_axis=y_axis, values=vals.reshape(x_axis.size, y_axis.size))

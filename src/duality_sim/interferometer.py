@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import evolution
-from .errors import ConfigError, ImpossibleOutcomeError, NumericError, NumericRangeError, TruncationError
+from .errors import ConfigError, NumericError
 from .evolution import InteractionParams
 from .fock import coherent_state, quadrature_projector, rank_cut
 
@@ -148,11 +148,11 @@ class JointState:
     def field_gram(self) -> np.ndarray:
         """gram[m, n] = dx sum_g conj(amps[g, m]) amps[g, n], the transposed field density.
 
-        NumericRangeError if not finite.
+        NumericError if not finite.
         """
         gram = _gram(self.amps.transpose(1, 0, 2)) * self.grid.dx
         if not np.isfinite(gram).all():
-            raise NumericRangeError("the joint state's field Gram matrix is not finite")
+            raise NumericError("the joint state's field Gram matrix is not finite")
         return gram
 
     def atom_columns(self, columns: np.ndarray) -> np.ndarray:
@@ -208,13 +208,14 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     The state covers the grid rows from the first to the last one where the
     packet density exceeds WEIGHT_FLOOR times its peak, and the Fock columns
     up to the first whose coherent tail weight is at most WEIGHT_FLOOR, plus
-    one; n_max is a ceiling.  The weight left out raises TruncationError
-    above tail_tol: fock_tail, the coherent tail beyond the carried columns, and
-    window_tail.  At the ceiling fock_tail is 1 - ||c||^2 clipped at 0 or, where that
-    is rounding, |c_{n_max-1}|^2 (|alpha|^2 / n_max) / (1 - r): beyond n_max the Poisson
-    ratios |c_{m+1}|^2 / |c_m|^2 are <= r = |alpha|^2 / (n_max + 1) < 1.  A grid on
-    which the packets' weight is not 1 within tail_tol does not sample them:
-    ConfigError.
+    one; n_max is a ceiling.  The weight left out raises NumericError above
+    tail_tol: fock_tail, the coherent tail beyond the carried columns (tails[n_c]
+    plus the weight beyond n_max), and window_tail.  The weight beyond n_max is
+    1 - ||c||^2 clipped at 0 or, where that is rounding, |c_{n_max-1}|^2 (|alpha|^2 /
+    n_max) / (1 - r): beyond n_max the Poisson ratios |c_{m+1}|^2 / |c_m|^2 are <= r =
+    |alpha|^2 / (n_max + 1) < 1.  A grid on which the packets' weight misses 1 by more
+    than tail_tol, and more than the shift max|x| eps / SIGMA by which rounding the
+    coordinates x_min + i dx can move it, does not sample them: ConfigError.
     """
     margin = 6.0 * SIGMA
     if grid.x_min > X_TOP - margin or grid.x_max < X_BOTTOM + margin:
@@ -222,15 +223,16 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     c_m = coherent_state(alpha, n_max)
     r = abs(alpha) ** 2 / (n_max + 1)  # finite: coherent_state refuses |alpha| beyond ~39
     bound = abs(c_m[-1] * alpha) ** 2 / n_max / (1.0 - r) if r < 1.0 else math.inf
-    missing = min(max(1.0 - float(np.vdot(c_m, c_m).real), 0.0), bound)
-    if not missing <= tail_tol:  # NaN when the amplitudes overflowed
-        raise TruncationError(
-            f"the coherent state leaves {missing:.3e} weight beyond {n_max} Fock states "
-            f"(tolerance {tail_tol:.1e}); increase n_max"
-        )
-    tails = np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1]  # tails[m] = sum_{k >= m} |c_k|^2
+    beyond = min(max(1.0 - float(np.vdot(c_m, c_m).real), 0.0), bound)
+    # tails[m] = sum_{n_max > k >= m} |c_k|^2, with tails[n_max] = 0
+    tails = np.append(np.cumsum(np.abs(c_m[::-1]) ** 2)[::-1], 0.0)
     n_c = min(np.count_nonzero(tails > WEIGHT_FLOOR) + 1, n_max)
-    fock_tail = float(tails[n_c]) if n_c < n_max else missing
+    fock_tail = float(tails[n_c]) + beyond
+    if not fock_tail <= tail_tol:  # NaN when the amplitudes overflowed
+        # below the ceiling the columns left out hold under WEIGHT_FLOOR: more cannot help
+        advice = "; increase n_max" if n_c == n_max else ""
+        raise NumericError(f"the coherent state leaves {fock_tail:.3e} weight beyond {n_c} "
+                           f"Fock states (tolerance {tail_tol:.1e}){advice}")
     c_m = c_m[:n_c]
     g_top = _slit_profile(grid, X_TOP)
     phi = float(prep.phi)
@@ -240,18 +242,21 @@ def build_initial(prep: PreparationParams, alpha: complex, grid: GridSpec, n_max
     edge = max(density[0], density[-1])
     if edge > 1e-8:
         raise ConfigError(f"slit packets reach the grid boundary (density {edge:.2e})")
-    weight = float(np.sum(density)) * grid.dx
+    miss = abs(float(np.sum(density)) * grid.dx - 1.0)
+    # x_min + i dx keeps each x to ~max|x| eps: to first order the weight moves by up to
+    # shift, a bound that is itself rounding only while shift^2 is (max|x| below ~3e6)
+    eps = np.finfo(float).eps
+    shift = max(abs(grid.x_min), abs(grid.x_max)) * eps / SIGMA
+    floor = max(tail_tol, shift if shift <= math.sqrt(eps) else 0.0)
     support = np.flatnonzero(density > WEIGHT_FLOOR * np.max(density))
-    if support.size == 0 or not abs(weight - 1.0) <= tail_tol:  # NaN fails too
-        raise ConfigError(f"the grid does not resolve the slits: the packets' weight on it is "
-                          f"{weight:.3e}, not 1 within {tail_tol:.1e}")
+    if support.size == 0 or not miss <= floor:  # NaN fails too
+        raise ConfigError(f"the grid does not resolve the slits: the packets' weight on it "
+                          f"misses 1 by {miss:.3e} (tolerance {floor:.1e})")
     start, stop = int(support[0]), int(support[-1]) + 1
     window_tail = (float(np.sum(density[:start])) + float(np.sum(density[stop:]))) * grid.dx
-    for lost, where in ((fock_tail, f"beyond {c_m.size} Fock states"),
-                        (window_tail, f"outside grid rows [{start}, {stop})")):
-        if not lost <= tail_tol:  # NaN fails too
-            raise TruncationError(f"the initial state leaves {lost:.3e} weight {where} "
-                                  f"(tolerance {tail_tol:.1e})")
+    if not window_tail <= tail_tol:  # NaN fails too
+        raise NumericError(f"the initial state leaves {window_tail:.3e} weight outside grid "
+                           f"rows [{start}, {stop}) (tolerance {tail_tol:.1e})")
     amps = np.empty((stop - start, 2, c_m.size), dtype=complex)
     amps[:, LEVEL_INDEX["c"], :] = np.outer(ground[start:stop], c_m)
     amps[:, LEVEL_INDEX["b"], :] = np.outer(mixed[start:stop], c_m)
@@ -265,7 +270,7 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
 
     Each level's Fock vector is replaced by its stay/cross branches; the
     photon-raising branch that falls off the truncation is accumulated
-    into the truncation-loss diagnostic and trips TruncationError above
+    into the truncation-loss diagnostic and trips NumericError above
     tail_tol.  In exact mode the weight leaked to the excited level, where
     the two members of each pair add coherently, is reported as the state's
     leak rather than tracked as a state (dispersive mode leaks nothing).
@@ -305,8 +310,8 @@ def interact(state: JointState, params: InteractionParams, mode: str = "dispersi
             excited[rows, :-1] += to_a_c[:, 1:] * in_c[rows, 1:]
     truncation_loss = float(np.sum(np.abs(fallen) ** 2)) * state.grid.dx
     if not truncation_loss <= tail_tol:  # NaN fails too
-        raise TruncationError(f"interaction pushed {truncation_loss:.3e} weight past the Fock "
-                              f"truncation (tolerance {tail_tol:.1e}); increase n_max")
+        raise NumericError(f"interaction pushed {truncation_loss:.3e} weight past the Fock "
+                           f"truncation (tolerance {tail_tol:.1e}); increase n_max")
     leak = 0.0 if excited is None else float(np.sum(np.abs(excited) ** 2)) * state.grid.dx
     return replace(state, amps=out, leak=leak, truncation_loss=truncation_loss)
 
@@ -354,7 +359,7 @@ def condition_on_quadrature(state: JointState, theta: float, chi: float):
     cond = state.atom_columns(quadrature_projector(theta, chi, state.n_max).conj()[:, None])
     density = float(np.sum(np.abs(cond) ** 2)) * state.grid.dx
     if not density >= 1e-300:  # NaN fails too
-        raise ImpossibleOutcomeError(
+        raise NumericError(
             f"outcome chi={chi:g} at theta={theta:g} has vanishing density"
         )
     return AtomDensity(state.grid, cond / math.sqrt(density), start=state.start), density

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NumericError, NumericRangeError
+from .errors import NumericError
 from .evolution import PHASE_LIMIT
 from .fock import rank_cut, write_columns
 from .interferometer import AtomDensity, GridSpec, _gram, _purity
@@ -97,19 +97,19 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6)
     chunk adds its density and its flown Gram, mapped back as chunk @ flown @ chunk^dag
     (modes are orthogonal, so blocks between chunks are rounding).  At rank 26 on 65536
     points the peak above the input is ~12.3 MB (18.1 MB with a copy of the factors).
-    GridError guards against a state that reaches the grid's edge, or whose weight
+    NumericError is raised for a state that reaches the grid's edge, or whose weight
     above 3/4 of its Nyquist frequency (nyquist_band_weight, summed before the kernel)
-    exceeds boundary_tol.  A phase DISPERSION_RATE t_prime k_max^2 beyond
-    evolution.PHASE_LIMIT is rounding noise: NumericRangeError; a zero state NumericError.
+    exceeds boundary_tol; for a phase DISPERSION_RATE t_prime k_max^2 beyond
+    evolution.PHASE_LIMIT, which would be rounding noise; and for a zero state.
     """
     grid, n = rho.grid, rho.grid.n_points
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.dx)
     phase = DISPERSION_RATE * t_prime * float(np.max(k * k))
     if not phase <= PHASE_LIMIT:  # NaN fails too
-        raise NumericRangeError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
+        raise NumericError(f"the flight phase {phase:.3e} rad exceeds {PHASE_LIMIT:.3e} rad")
     kernel = np.exp(-1j * (DISPERSION_RATE * t_prime) * k * k)
     if not np.isfinite(rho.gram).all():
-        raise GridError("the state to fly is not finite; no grid holds it")
+        raise NumericError("the state to fly is not finite; no grid holds it")
     _, modes, discarded = rank_cut(rho.gram)
     if not modes.shape[1]:
         raise NumericError("cannot take the flown trace of a zero-norm state")
@@ -127,8 +127,8 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6)
         floats = buf[band].T.view(float)  # per mode, each row's real and imaginary part
         aliased += float(np.einsum("ij,ij", floats, floats)) * grid.dx / n
         if not aliased <= boundary_tol:  # NaN fails too
-            raise GridError(f"momentum weight {aliased:.3e} near the Nyquist frequency exceeds "
-                            f"{boundary_tol:.1e}; refine the grid")
+            raise NumericError(f"momentum weight {aliased:.3e} near the Nyquist frequency "
+                               f"exceeds {boundary_tol:.1e}; refine the grid")
         np.multiply(kernel[:, None], buf, out=buf)
         np.fft.ifft(buf, axis=0, out=buf)
         floats = buf.T.view(float)
@@ -138,7 +138,7 @@ def free_propagate(rho: AtomDensity, t_prime: float, boundary_tol: float = 1e-6)
                         nyquist_band_weight=aliased)
     edge = out.boundary_weight()
     if not edge <= boundary_tol:  # NaN fails too
-        raise GridError(
+        raise NumericError(
             f"boundary probability {edge:.3e} exceeds {boundary_tol:.1e}; "
             "the grid is too small for this flight time"
         )
@@ -152,14 +152,10 @@ def screen_distribution(rho: ScreenDensity) -> ScreenPattern:
 
 def _interior_extrema(values: np.ndarray) -> np.ndarray:
     """Indices of strict interior local extrema of a sampled curve."""
-    d = np.diff(values)
-    sign = np.sign(d)
-    # carry the last nonzero slope through plateaus
-    for i in range(1, sign.size):
-        if sign[i] == 0.0:
-            sign[i] = sign[i - 1]
-    turns = np.nonzero(sign[1:] * sign[:-1] < 0.0)[0] + 1
-    return turns
+    slopes = np.sign(np.diff(values))
+    moving = np.flatnonzero(slopes)  # a plateau keeps the slope before it
+    turns = slopes[moving[1:]] * slopes[moving[:-1]] < 0.0
+    return moving[1:][turns]
 
 
 def fringe_visibility(pattern: ScreenPattern) -> float | None:

@@ -220,10 +220,7 @@ def _write(kind, value):
 
 def _read_case(value) -> PreparationParams:
     if isinstance(value, str):
-        try:
-            return PreparationParams(*sphere_case(value), name=value)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return PreparationParams(*sphere_case(value), name=value)
     # only a sphere case has a name; an explicit object gives the amplitudes
     _require(isinstance(value, dict) and "name" not in value,
              "case must be a sphere-case name or an explicit {c_up, c_down, phi} object")

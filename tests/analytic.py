@@ -53,6 +53,16 @@ def visibility_or_zero(pattern) -> float:
     return 0.0 if visibility is None else visibility
 
 
+def loop_interior_extrema(values: np.ndarray) -> np.ndarray:
+    """Indices of strict interior local extrema, slope by slope: a plateau carries the
+    last nonzero slope through it."""
+    sign = np.sign(np.diff(values))
+    for i in range(1, sign.size):
+        if sign[i] == 0.0:
+            sign[i] = sign[i - 1]
+    return np.nonzero(sign[1:] * sign[:-1] < 0.0)[0] + 1
+
+
 def lowering_operator(n_max: int) -> np.ndarray:
     """Annihilation operator a on the truncated basis."""
     return np.diag(np.sqrt(np.arange(1.0, n_max)), k=1).astype(complex)

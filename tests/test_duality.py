@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duality_sim.duality import SPHERE_CASE_NAMES, gamma_of_phi, metrics, sphere_case
+from duality_sim.errors import ConfigError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -34,11 +35,11 @@ def test_gamma_of_phi():
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"must satisfy \|c_up\|\^2 \+ \|c_down\|\^2 = 1"):
         metrics(1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"\|gamma\| cannot exceed 1"):
         metrics(INV_SQRT2, INV_SQRT2, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown sphere case 'XYZ'"):
         sphere_case("XYZ")
 
 

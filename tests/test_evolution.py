@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from analytic import fidelity
 from conftest import kick_row
-from duality_sim.errors import TruncationError
+from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams, branch_multipliers
 from duality_sim.fock import coherent_state
 
@@ -136,7 +136,7 @@ class TestDispersiveRow:
     def test_truncation_error_on_top_row(self):
         field = coherent_state(6.0, 40)  # mean 36 photons, heavy top row
         params = InteractionParams(epsilon=3.0, theta_int=math.pi)
-        with pytest.raises(TruncationError):
+        with pytest.raises(NumericError, match="past the Fock truncation .*; increase n_max"):
             kick_row("b", field, params, tail_tol=1e-9)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from scipy.stats import poisson
 
 from analytic import dense_husimi, quadrature_operator
 from duality_sim import fock
-from duality_sim.errors import NumericRangeError
+from duality_sim.errors import ConfigError, NumericError
 from duality_sim.fock import QGrid, coherent_state, husimi_q, quadrature_projector, write_columns
 from duality_sim.runner import QGRID_AXIS
 
@@ -44,9 +45,9 @@ class TestCoherentState:
         assert 1.0 - norm_sq == pytest.approx(tail, abs=1e-13)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="coherent amplitude must be finite"):
             coherent_state(float("nan"), 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="coherent amplitude must be finite"):
             coherent_state(complex("inf"), 8)
 
     def test_complex_amplitude_phase(self):
@@ -120,7 +121,7 @@ class TestQuadratureEigenstate:
         assert np.trapezoid(probs, xs) == pytest.approx(1.0, abs=1e-9)
 
     def test_overflow_guard(self):
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericError, match="oscillator functions underflow"):
             normalised_projector(0.0, 50.0, 32)
 
     @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7, 7.5])
@@ -143,8 +144,8 @@ class TestQuadratureEigenstate:
         chi = zero_d(chi)
         try:
             row = quadrature_projector(theta, [chi], n_max)[0]
-        except NumericRangeError:
-            with pytest.raises(NumericRangeError):
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=re.escape(str(exc))):
                 quadrature_projector(theta, chi, n_max)
             return
         single = quadrature_projector(theta, chi, n_max)
@@ -152,7 +153,7 @@ class TestQuadratureEigenstate:
         assert np.array_equal(single.view(np.int64), row.view(np.int64))  # bit for bit
 
     def test_sweep_underflow_guard_per_outcome(self):
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericError, match="oscillator functions underflow"):
             quadrature_projector(0.0, [0.0, 50.0], 32)
 
 
@@ -217,7 +218,7 @@ class TestHusimi:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflowing_point_raises(self):
         # |300^95 / sqrt(95!)|^2 overflows, and exp(-300^2) underflows to 0
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericError, match="too far out for the Bargmann polynomials"):
             husimi_q(np.eye(96) / 96, [300.0], [0.0])
 
     def test_csv_bytes_match_per_cell_format(self, tmp_path):

@@ -8,8 +8,7 @@ from analytic import (atom_trace, dense_rho, fidelity, full_grid_atom, row_by_ro
                       top_path_weight)
 from duality_sim import interferometer
 from duality_sim.duality import sphere_case
-from duality_sim.errors import (ConfigError, ImpossibleOutcomeError, NumericError,
-                                 NumericRangeError, TruncationError)
+from duality_sim.errors import ConfigError, NumericError
 from duality_sim.evolution import InteractionParams
 from duality_sim.fock import coherent_state
 from duality_sim.interferometer import (LEVEL_INDEX, SIGMA, X_BOTTOM, X_TOP,
@@ -53,7 +52,8 @@ class TestBuildInitial:
         # smaller; the Poisson bound reads it there, within 0.2% above a direct sum
         tail = float(np.sum(np.abs(coherent_state(ALPHA, 200)[n_max:]) ** 2))
         if tail > 1e-15:
-            with pytest.raises(TruncationError, match=f"leaves {tail:.3e} weight beyond {n_max}"):
+            with pytest.raises(NumericError,
+                               match=f"leaves {tail:.3e} weight beyond {n_max} .*; increase n_max"):
                 build_initial(prep_v1(), ALPHA, default_grid, n_max, tail_tol=1e-15)
             return
         state = build_initial(prep_v1(), ALPHA, default_grid, n_max, tail_tol=1e-15)
@@ -214,9 +214,9 @@ class TestTraceOutField:
         amps[len(amps) // 2] = math.nan
         broken = JointState(grid=state.grid, amps=amps,
                             start=state.start)
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericError, match="field Gram matrix is not finite"):
             trace_out_field(broken)
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(NumericError, match="field Gram matrix is not finite"):
             field_density(broken)
 
 
@@ -253,13 +253,13 @@ class TestConditioning:
 
     def test_impossible_outcome(self, kicked):
         # far enough out that the outcome density underflows the 1e-300 floor
-        with pytest.raises(ImpossibleOutcomeError):
+        with pytest.raises(NumericError, match="outcome chi=-26 at theta=0 has vanishing density"):
             condition_on_quadrature(kicked, 0.0, -26.0)
 
     def test_nan_outcome_density_is_impossible(self, kicked):
         amps = kicked.amps.copy()
         amps[0] = np.nan
-        with pytest.raises(ImpossibleOutcomeError):
+        with pytest.raises(NumericError, match="outcome chi=1 at theta=0 has vanishing density"):
             condition_on_quadrature(replace(kicked, amps=amps), 0.0, 1.0)
 
     def test_decomposition_consistency(self):

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analytic import (assert_close_readouts, full_grid_atom, gaussian_spread_sigma,
-                      intensity_l2, level_flight, two_slit_intensity, window_density)
+                      intensity_l2, level_flight, loop_interior_extrema, two_slit_intensity,
+                      window_density)
 from conftest import SMALL_NUMERIC
-from duality_sim.errors import GridError, NumericError
+from duality_sim.errors import NumericError
 from duality_sim.evolution import InteractionParams
 from duality_sim.interferometer import (MIDPOINT, SIGMA, X_BOTTOM, X_TOP, AtomDensity,
                                         GridSpec, PreparationParams, build_initial, interact,
                                         trace_out_field)
 from duality_sim.propagation import (DISPERSION_RATE, WAVELENGTH, ScreenPattern,
-                                     free_propagate, fringe_visibility,
+                                     _interior_extrema, free_propagate, fringe_visibility,
                                      screen_distribution)
 from duality_sim.runner import ExperimentConfig, run
 
@@ -112,13 +113,13 @@ class TestFreePropagate:
     def test_grid_too_small_raises(self, default_grid):
         rho = trace_out_field(build_initial(
             PreparationParams(1.0, 0.0, 0.0), 0.0, default_grid, 4))
-        with pytest.raises(GridError):
+        with pytest.raises(NumericError, match="too small for this flight time"):
             free_propagate(rho, 30.0)
 
     def test_nan_boundary_weight_raises(self, default_grid):
         rho = AtomDensity(grid=default_grid, factors=np.full((default_grid.n_points, 2, 1), np.nan,
                                                              dtype=complex))
-        with pytest.raises(GridError):
+        with pytest.raises(NumericError, match="the state to fly is not finite"):
             free_propagate(rho, 1.0)
 
     def test_kick_past_the_nyquist_frequency_raises(self, default_grid):
@@ -130,7 +131,7 @@ class TestFreePropagate:
         kicked = AtomDensity(grid=default_grid, factors=rho.factors * boost[:, None, None],
                              start=rho.start)
         assert free_propagate(rho, 0.0).nyquist_band_weight <= 1e-20
-        with pytest.raises(GridError, match="refine the grid"):
+        with pytest.raises(NumericError, match="refine the grid"):
             free_propagate(kicked, 0.0)
         flown = free_propagate(kicked, 0.0, boundary_tol=math.inf)
         assert flown.trace() == pytest.approx(1.0)
@@ -279,6 +280,16 @@ class TestFringeVisibility:
         # every 512th sample is ~0.52 wavelengths apart, so the window holds at most one
         coarse = ScreenPattern(fringed.x_axis[::512], fringed.intensity[::512])
         assert fringe_visibility(coarse) is None
+
+    # few distinct values make plateaus; NaN and the infinities make NaN slopes
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf, -math.inf])
+                    | st.floats(allow_nan=True), max_size=40))
+    def test_extrema_match_the_slope_by_slope_loop(self, values):
+        values = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = _interior_extrema(values), loop_interior_extrema(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_partial_contrast(self, default_grid):
         # traced single-photon-level field: contrast should sit near e^{-2}

@@ -20,7 +20,7 @@ from conftest import SMALL_NUMERIC
 from duality_sim import interferometer, propagation, runner, runtime
 from duality_sim.cli import main
 from duality_sim.duality import SPHERE_CASE_NAMES
-from duality_sim.errors import ConfigError, GridError
+from duality_sim.errors import ConfigError, NumericError
 from duality_sim.fock import coherent_state, write_columns
 from duality_sim.interferometer import JointState, build_initial, interact, trace_out_field
 from duality_sim.propagation import WAVELENGTH
@@ -267,6 +267,40 @@ def test_local_kick_run_at_a_tight_tail_tolerance_exits_0(tmp_path):
     assert_run_invariants(tmp_path)
 
 
+def with_tolerance(config, tail_tolerance, **numeric):
+    return {**config, "numeric": {**config.get("numeric", {}), **numeric,
+                                  "tail_tolerance": tail_tolerance}}
+
+
+@pytest.mark.parametrize("config, code, says", [
+    # on [-40, 42) rounding the coordinates moves the packets' weight by up to
+    # 42 eps / SIGMA = 1.9e-13: that is not a miss, at any tolerance
+    (with_tolerance(LOCAL_KICK_16384, 1e-16), 0, None),
+    (with_tolerance(LOCAL_KICK_16384, 1e-20), 0, None),
+    # below the n_max ceiling the columns left out hold a real 1.197e-33, under
+    # WEIGHT_FLOOR: a larger n_max cannot help, so none is suggested
+    (with_tolerance(LOCAL_KICK_16384, 1e-40), 3, "leaves 1.197e-33 weight beyond 62 Fock states"),
+    # at the ceiling the weight beyond n_max is checked once, and more columns do help
+    (with_tolerance({"stage": 2, "case": "VDC"}, 1e-14, n_max=32), 3,
+     "leaves 1.329e-10 weight beyond 32 Fock states (tolerance 1.0e-14); increase n_max"),
+    # grids too coarse for the slits miss 1 by more than rounding, and say by how much
+    (with_tolerance({"stage": 2, "case": "VDC"}, 1e-14, grid={"n_points": 640}), 2,
+     "misses 1 by 8.271e-14"),
+    (with_tolerance({"stage": 2, "case": "VDC"}, 1e-9, grid={"n_points": 512}), 2,
+     "misses 1 by 2.608e-09"),
+], ids=["kick-1e-16", "kick-1e-20", "kick-1e-40", "ceiling", "grid-640", "grid-512"])
+def test_initial_state_refuses_lost_weight_not_rounding(tmp_path, capsys, config, code, says):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert_run_invariants(out)
+        return
+    assert says in err
+    assert ("increase n_max" in err) == ("increase n_max" in says)
+
+
 def test_local_kick_flight_holds_eight_mode_columns():
     # the flight's peak above its inputs is its (N, 8) buffer plus (N,) columns: 3.3 MB
     # at rank 26, where one (N, rank) buffer took it to 8.4 MB
@@ -385,7 +419,7 @@ class TestBlasThreads:
 
     def test_count_restored_when_a_run_raises(self, blas_calls, blas_threads):
         # far too long a flight for the grid: the aliasing guard trips after the flight
-        with pytest.raises(GridError):
+        with pytest.raises(NumericError, match="too small for this flight time"):
             run(small_config(t_prime=40.0))
         assert blas_calls and {count for _, count in blas_calls} == {1}
         assert blas_threads() == 2
@@ -724,6 +758,9 @@ class TestCli:
                                  "grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 16}}},
         {"numeric": {"tail_tolerance": 1.0}},
         {"stage": 1, "epsilon": 3.0},  # the bare double slit has no drive either
+        # one row near the top slit holds weight 1.19: rounding coordinates at 1e15 moves
+        # the weight by 4.4 to first order, but that bound is no longer rounding there
+        {"numeric": {"grid": {"x_min": -1e15 + 0.625, "x_max": 1e15}}},
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_value_exit_code(self, tmp_path, overrides):

@@ -5,7 +5,8 @@ cannot find as absent, whose per-layer metrics then read zero; its work
 counters read arguments by name, and a renamed argument zeroes that
 layer's counts just as silently.  The package re-exports names from its
 modules, and each module lists its own in __all__.  A deletion or rename
-that leaves any of these behind fails here.
+that leaves any of these behind fails here.  So does a raise of any class
+but the two that the CLI maps to its exit codes.
 """
 
 import ast
@@ -21,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from tracing import LAYERS, Tracer, _resolve  # noqa: E402
 
 from conftest import SMALL_NUMERIC  # noqa: E402
-from duality_sim import runner  # noqa: E402
+from duality_sim import errors, runner  # noqa: E402
 
 MODULES = ("duality", "errors", "evolution", "fock", "interferometer", "propagation", "runner",
            "runtime")
@@ -57,6 +58,23 @@ def test_every_export_exists():
         module = importlib.import_module(f"duality_sim.{name}")
         missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
         assert missing == [], f"duality_sim.{name}.__all__ names {missing}"
+
+
+def test_every_raise_names_one_of_the_two_failure_classes():
+    # cli.main maps ConfigError to exit 2 and NumericError to exit 3; any other
+    # exception the library raised would end a run with exit 1 and a traceback
+    package = Path(duality_sim.__file__).parent
+    raised = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc is not None else "a bare raise"
+                raised.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    assert set(raised) == {"ConfigError", "NumericError"}, raised
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes == {"ConfigError", "NumericError"}
+    assert errors.ConfigError.__bases__ == errors.NumericError.__bases__ == (Exception,)
 
 
 def test_only_interferometer_reads_the_joint_state_amplitudes():
